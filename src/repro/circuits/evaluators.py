@@ -36,9 +36,10 @@ from repro.circuits.ring_vco import N_STAGES, VcoDesign
 from repro.circuits.testbench import VcoTestbench
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.process.mismatch import MismatchSample
+from repro.process.mismatch import MismatchBatch, MismatchSample
+from repro.process.montecarlo import ProcessSampleBatch
 from repro.process.technology import TECH_012UM, Technology
-from repro.spice.mosfet import _ELECTRON_CHARGE, _EPS_OX, MOSFET
+from repro.spice.mosfet import _ELECTRON_CHARGE, _EPS_OX, MOSFET, MOSFETModel
 
 __all__ = ["VcoEvaluator", "RingVcoAnalyticalEvaluator", "RingVcoSpiceEvaluator"]
 
@@ -51,12 +52,9 @@ EVALUATIONS = obs_metrics.get_registry().counter(
     ("backend",),
 )
 
-#: Batch adapter signature used by ``MonteCarloEngine.run_batch``: lists of
-#: per-sample technologies and mismatch samples in, one performance
-#: dictionary per sample out.
-BatchMonteCarloEvaluator = Callable[
-    [Sequence[Technology], Sequence[MismatchSample]], List[Dict[str, float]]
-]
+#: Batch adapter signature used by ``MonteCarloEngine.run_batch``: a drawn
+#: Monte Carlo batch in, one performance dictionary per sample out.
+BatchMonteCarloEvaluator = Callable[[ProcessSampleBatch], List[Dict[str, float]]]
 
 
 class VcoEvaluator:
@@ -77,25 +75,31 @@ class VcoEvaluator:
         self,
         designs: Sequence[VcoDesign],
         technology: Optional[Technology] = None,
-        technologies: Optional[Sequence[Technology]] = None,
-        mismatches: Optional[Sequence[MismatchSample]] = None,
+        samples: Optional[ProcessSampleBatch] = None,
     ) -> List[VcoPerformance]:
-        """Evaluate many (design, technology, mismatch) combinations at once.
+        """Evaluate many designs, or designs under many process samples, at once.
 
-        Length-1 inputs broadcast against the longest input, covering both
-        batch shapes the flow needs: N designs under one technology (the
-        NSGA-II population) and one design under N sampled technologies /
-        mismatch draws (the Monte Carlo analysis).  The base implementation
-        loops :meth:`evaluate`; the analytical evaluator overrides it with
-        numpy array math.
+        Without ``samples`` every design is evaluated under ``technology``
+        (the NSGA-II population shape).  With a Monte Carlo batch each
+        sample's shifted technology and mismatch replace ``technology``,
+        and a single design broadcasts against the samples (the Monte Carlo
+        shape).  The base implementation builds each sample and loops
+        :meth:`evaluate`; the analytical evaluator overrides it with numpy
+        array math on the batch's columns.
         """
-        designs, technologies, mismatches = _broadcast_batch(
-            designs, technology or self.technology, technologies, mismatches
-        )
+        tasks = _batch_tasks(designs, self._samples_or_nominal(technology, samples))
         return [
             self.evaluate(design, technology=tech, mismatch=mismatch)
-            for design, tech, mismatch in zip(designs, technologies, mismatches)
+            for design, tech, mismatch in tasks
         ]
+
+    def _samples_or_nominal(
+        self, technology: Optional[Technology], samples: Optional[ProcessSampleBatch]
+    ) -> ProcessSampleBatch:
+        """``samples``, or else one nominal sample of ``technology`` (or the default)."""
+        if samples is not None:
+            return samples
+        return ProcessSampleBatch.nominal(technology or self.technology)
 
     def monte_carlo_evaluator(
         self, design: VcoDesign
@@ -110,39 +114,31 @@ class VcoEvaluator:
     def monte_carlo_batch_evaluator(self, design: VcoDesign) -> BatchMonteCarloEvaluator:
         """Batch adapter for ``MonteCarloEngine.run_batch``."""
 
-        def _evaluate(
-            technologies: Sequence[Technology], mismatches: Sequence[MismatchSample]
-        ) -> List[Dict[str, float]]:
-            performances = self.evaluate_batch(
-                [design], technologies=technologies, mismatches=mismatches
-            )
+        def _evaluate(samples: ProcessSampleBatch) -> List[Dict[str, float]]:
+            performances = self.evaluate_batch([design], samples=samples)
             return [performance.as_dict() for performance in performances]
 
         return _evaluate
 
 
-def _broadcast_batch(designs, technology, technologies, mismatches):
-    """Broadcast length-1 batch inputs against the longest one."""
-    designs = list(designs)
-    technologies = list(technologies) if technologies is not None else [technology]
-    mismatches = list(mismatches) if mismatches is not None else [None]
-    n = max(len(designs), len(technologies), len(mismatches))
-    for name, items in (
-        ("designs", designs),
-        ("technologies", technologies),
-        ("mismatches", mismatches),
-    ):
-        if len(items) not in (1, n):
-            raise ValueError(
-                f"batch input {name!r} has length {len(items)}, expected 1 or {n}"
-            )
-    if len(designs) == 1:
-        designs = designs * n
-    if len(technologies) == 1:
-        technologies = technologies * n
-    if len(mismatches) == 1:
-        mismatches = mismatches * n
-    return designs, technologies, mismatches
+def _batch_size(designs: Sequence, samples: ProcessSampleBatch) -> int:
+    """Length of a design x sample batch (a length-1 side broadcasts)."""
+    n = max(len(designs), len(samples))
+    for name, size in (("designs", len(designs)), ("samples", len(samples))):
+        if size not in (1, n):
+            raise ValueError(f"batch input {name!r} has length {size}, expected 1 or {n}")
+    return n
+
+
+def _batch_tasks(designs: Sequence, samples: ProcessSampleBatch) -> List[Tuple]:
+    """Per-element ``(design, technology, mismatch)`` triples of a batch."""
+    n = _batch_size(designs, samples)
+    designs = list(designs) * n if len(designs) == 1 else list(designs)
+    processes = list(samples) * n if len(samples) == 1 else list(samples)
+    return [
+        (design, sample.technology, sample.mismatch)
+        for design, sample in zip(designs, processes)
+    ]
 
 
 def _softplus_overdrive(vov: np.ndarray, n_vt: np.ndarray) -> np.ndarray:
@@ -253,37 +249,15 @@ _CARD_ATTRIBUTES = (
 )
 
 
-def _card_arrays(cards) -> Dict:
-    """Gather one model card per sample into attribute arrays.
-
-    When every sample shares the same card object (the optimisation batch
-    shape) plain scalars are returned, which keeps the array expressions
-    cheap; otherwise each attribute becomes a length-N array (the Monte
-    Carlo batch shape, where global variation shifts every card).
-    """
-    first = cards[0]
-    if all(card is first for card in cards):
-        values = {attr: getattr(first, attr) for attr in _CARD_ATTRIBUTES}
-    else:
-        values = {
-            attr: np.array([getattr(card, attr) for card in cards])
-            for attr in _CARD_ATTRIBUTES
-        }
-    values["polarity"] = first.polarity
+def _card_values(card: MOSFETModel, columns: Dict[str, np.ndarray]) -> Dict:
+    """Kernel view of one model card: a batch column where the parameter
+    varies across samples, the card's scalar everywhere else."""
+    values = {
+        attr: columns[attr] if attr in columns else getattr(card, attr)
+        for attr in _CARD_ATTRIBUTES
+    }
+    values["polarity"] = card.polarity
     return values
-
-
-def _mismatch_deltas(mismatches, device_name: str):
-    """Per-sample (vth0, u0_rel) mismatch deltas of one device, as arrays."""
-    if mismatches is None:
-        return None
-    vth0 = np.empty(len(mismatches))
-    u0_rel = np.empty(len(mismatches))
-    for index, mismatch in enumerate(mismatches):
-        deltas = mismatch.for_device(device_name) if mismatch is not None else {}
-        vth0[index] = deltas.get("vth0", 0.0)
-        u0_rel[index] = deltas.get("u0_rel", 0.0)
-    return vth0, u0_rel
 
 
 def _device_arrays(card: Dict, width, length, deltas) -> _DeviceArrays:
@@ -309,15 +283,6 @@ def _device_arrays(card: Dict, width, length, deltas) -> _DeviceArrays:
         ld=card["ld"],
         temperature=card["temperature"],
     )
-
-
-@dataclass
-class _StageBias:
-    """Starving current and effective load of one inverter stage."""
-
-    current: float
-    load_capacitance: float
-    overdrive: float
 
 
 class RingVcoAnalyticalEvaluator(VcoEvaluator):
@@ -451,14 +416,15 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
                 model = model.with_variation(**updates)
         return MOSFET(name, "d", "g", "s", "b", model, width, length)
 
-    def _stage_bias(
+    def _stage_current(
         self,
         stage: int,
         design: VcoDesign,
         vctrl: float,
         technology: Technology,
         mismatch: Optional[MismatchSample],
-    ) -> _StageBias:
+    ) -> float:
+        """Starving current of one inverter stage."""
         vdd = technology.vdd
         half = vdd / 2.0
         # NMOS starving transistor sets the discharge current.
@@ -485,12 +451,7 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         pull_down = min(i_tail_n, i_inv_n)
         pull_up = min(max(i_tail_p, 0.3 * i_tail_n), i_inv_p)
         current = 0.5 * (pull_down + pull_up)
-        overdrive = max(vctrl - technology.nmos.vth0, 0.05)
-        return _StageBias(
-            current=max(current, 1e-9),
-            load_capacitance=self._stage_capacitance(design, technology),
-            overdrive=overdrive,
-        )
+        return max(current, 1e-9)
 
     def _stage_capacitance(self, design: VcoDesign, technology: Technology) -> float:
         nmos = technology.nmos
@@ -506,37 +467,19 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
 
     # -- frequency / current / jitter ---------------------------------------------------
 
-    def _frequency(
-        self,
-        design: VcoDesign,
-        vctrl: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> float:
-        delays = []
-        for stage in range(self.n_stages):
-            bias = self._stage_bias(stage, design, vctrl, technology, mismatch)
-            # Each half period charges/discharges the load across ~Vdd/2.
-            delays.append(bias.load_capacitance * (technology.vdd / 2.0) / bias.current)
+    def _frequency(self, currents: List[float], load: float, technology: Technology) -> float:
+        # Each half period charges/discharges the load across ~Vdd/2.
+        delays = [load * (technology.vdd / 2.0) / current for current in currents]
         period = 2.0 * sum(delays)
         if period <= 0.0:
             return 0.0
         return self.frequency_scale / period
 
     def _supply_current(
-        self,
-        design: VcoDesign,
-        vctrl: float,
-        frequency: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
+        self, currents: List[float], load: float, frequency: float, technology: Technology
     ) -> float:
-        biases = [
-            self._stage_bias(stage, design, vctrl, technology, mismatch)
-            for stage in range(self.n_stages)
-        ]
-        mean_current = sum(b.current for b in biases) / len(biases)
-        c_total = sum(b.load_capacitance for b in biases)
+        mean_current = sum(currents) / len(currents)
+        c_total = sum(load for _ in currents)
         dynamic = c_total * technology.vdd * frequency
         # During each transition roughly one pull-up and one pull-down path
         # conduct simultaneously for a fraction of the period (crowbar).
@@ -544,36 +487,32 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         bias_branch = mean_current  # the vctrl-to-vbp mirror branch
         return self.current_scale * (dynamic + crowbar + bias_branch)
 
-    def _jitter(
-        self,
-        design: VcoDesign,
-        vctrl: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> float:
-        biases = [
-            self._stage_bias(stage, design, vctrl, technology, mismatch)
-            for stage in range(self.n_stages)
-        ]
+    def _jitter(self, currents: List[float], load: float, technology: Technology) -> float:
         kT = _BOLTZMANN * technology.temperature
         # Thermal noise: per-edge first-crossing error accumulated over 2N edges.
         sigma_edges = []
         delays = []
-        for bias in biases:
-            sigma_v = math.sqrt(2.0 * kT / bias.load_capacitance)
-            slope = bias.current / bias.load_capacitance
+        for current in currents:
+            sigma_v = math.sqrt(2.0 * kT / load)
+            slope = current / load
             sigma_edges.append(sigma_v / slope)
-            delays.append(bias.load_capacitance * (technology.vdd / 2.0) / bias.current)
+            delays.append(load * (technology.vdd / 2.0) / current)
         thermal = math.sqrt(2.0 * sum(s * s for s in sigma_edges))
         # Mismatch between stages converts into deterministic period error
         # through the spread of the stage delays (one-sigma estimate).
         mean_delay = sum(delays) / len(delays)
         if len(delays) > 1:
-            variance = sum((d - mean_delay) ** 2 for d in delays) / (len(delays) - 1)
+            # Squares are written as products: Python's ``x**2`` calls C
+            # ``pow``, which can differ from numpy's ``x*x`` in the last bit.
+            variance = sum((d - mean_delay) * (d - mean_delay) for d in delays) / (
+                len(delays) - 1
+            )
             deterministic = math.sqrt(variance)
         else:
             deterministic = 0.0
-        return self.jitter_scale * math.sqrt(thermal**2 + deterministic**2)
+        return self.jitter_scale * math.sqrt(
+            thermal * thermal + deterministic * deterministic
+        )
 
     # -- public API -----------------------------------------------------------------------
 
@@ -582,8 +521,8 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
 
         The ring is the identity.  Subclasses (e.g. the pseudo-differential
         topology) apply their per-topology corrections here, once, so the
-        scalar path, the vectorised path and the mixed-technology fallback
-        (which loops :meth:`evaluate`) all agree bit-exactly.
+        scalar path, the vectorised path and the generic per-sample loop
+        (which calls :meth:`evaluate`) all agree bit-exactly.
         """
         return performance
 
@@ -596,12 +535,20 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         """Evaluate the five performances of one design point analytically."""
         tech = technology or self.technology
         design = design.clamped(tech)
-        fmin = self._frequency(design, self.vctrl_min, tech, mismatch)
-        fmax = self._frequency(design, self.vctrl_max, tech, mismatch)
+        load = self._stage_capacitance(design, tech)
+        currents_min, currents_max = [
+            [
+                self._stage_current(stage, design, vctrl, tech, mismatch)
+                for stage in range(self.n_stages)
+            ]
+            for vctrl in (self.vctrl_min, self.vctrl_max)
+        ]
+        fmin = self._frequency(currents_min, load, tech)
+        fmax = self._frequency(currents_max, load, tech)
         span = self.vctrl_max - self.vctrl_min
         kvco = max(fmax - fmin, 0.0) / span
-        current = self._supply_current(design, self.vctrl_max, fmax, tech, mismatch)
-        jitter = self._jitter(design, self.vctrl_max, tech, mismatch)
+        current = self._supply_current(currents_max, load, fmax, tech)
+        jitter = self._jitter(currents_max, load, tech)
         return self._finalise_performance(
             VcoPerformance(kvco=kvco, jitter=jitter, current=current, fmin=fmin, fmax=fmax)
         )
@@ -612,8 +559,7 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         self,
         designs: Sequence[VcoDesign],
         technology: Optional[Technology] = None,
-        technologies: Optional[Sequence[Technology]] = None,
-        mismatches: Optional[Sequence[MismatchSample]] = None,
+        samples: Optional[ProcessSampleBatch] = None,
     ) -> List[VcoPerformance]:
         """True array-in/array-out evaluation of a whole batch.
 
@@ -623,35 +569,29 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         :meth:`evaluate` per element -- a seeded NSGA-II run or Monte
         Carlo analysis produces the same results on either path, only
         faster.  Supports the two batch shapes of the flow: N designs
-        under one technology (optimisation) and one design under N
-        sampled technologies/mismatch draws (Monte Carlo).
+        under one technology (optimisation) and one design under a Monte
+        Carlo batch, whose model-card and mismatch columns enter the
+        array expressions directly.
         """
-        base_tech = technology or self.technology
-        designs_b, techs, mms = _broadcast_batch(designs, base_tech, technologies, mismatches)
-        n = len(designs_b)
+        samples = self._samples_or_nominal(technology, samples)
+        n = _batch_size(designs, samples)
         EVALUATIONS.inc(n, backend="analytical")
-        reference = techs[0]
-        if any(
-            tech.vdd != reference.vdd or tech.temperature != reference.temperature
-            for tech in techs
-        ):
-            # Mixed supplies/temperatures would turn the scalar bias
-            # branches into arrays; fall back to the generic loop.
-            return super().evaluate_batch(
-                designs, technology=base_tech, technologies=techs, mismatches=mms
-            )
+        designs_b = list(designs) * n if len(designs) == 1 else list(designs)
+        # Global variation shifts model cards only, so every sample shares
+        # the batch technology's supply, temperature and design rules.
+        reference = samples.technology
+        nmos = _card_values(reference.nmos, samples.cards["nmos"])
+        pmos = _card_values(reference.pmos, samples.cards["pmos"])
+        mismatch = samples.mismatch if samples.mismatch.devices else None
         params = self._design_arrays(designs_b, reference)
-        nmos = _card_arrays([tech.nmos for tech in techs])
-        pmos = _card_arrays([tech.pmos for tech in techs])
         load = self._batch_stage_capacitance(params, nmos, pmos, reference)
-        has_mismatch = any(mm is not None and mm.deltas for mm in mms)
 
         def stage_biases(vctrl: float) -> List[np.ndarray]:
-            if not has_mismatch:
+            if mismatch is None:
                 current = self._batch_stage_current(params, nmos, pmos, reference, vctrl, None, 0)
                 return [current] * self.n_stages
             return [
-                self._batch_stage_current(params, nmos, pmos, reference, vctrl, mms, stage)
+                self._batch_stage_current(params, nmos, pmos, reference, vctrl, mismatch, stage)
                 for stage in range(self.n_stages)
             ]
 
@@ -739,35 +679,53 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         return gate + overlap + junction + technology.stage_load_capacitance
 
     def _batch_stage_current(
-        self, params, nmos, pmos, technology: Technology, vctrl, mismatches, stage: int
+        self,
+        params,
+        nmos,
+        pmos,
+        technology: Technology,
+        vctrl,
+        mismatch: Optional[MismatchBatch],
+        stage: int,
     ) -> np.ndarray:
-        """Vectorised transcription of the current part of :meth:`_stage_bias`."""
+        """Vectorised transcription of the current part of :meth:`_stage_bias`.
+
+        A device without mismatch columns keeps its card values, exactly
+        as the scalar path skips a device its mismatch sample lacks.
+        """
+
+        def deltas(name: str):
+            return mismatch.column(name) if mismatch is not None else None
+
         vdd = technology.vdd
         half = vdd / 2.0
         tail_n = _device_arrays(
-            nmos, params["tail_nmos_width"], params["tail_length"],
-            _mismatch_deltas(mismatches, f"mtn{stage}"),
+            nmos, params["tail_nmos_width"], params["tail_length"], deltas(f"mtn{stage}")
         )
         i_tail_n = tail_n.drain_current(half, vctrl, 0.0, 0.0)
         tail_p = _device_arrays(
-            pmos, params["tail_pmos_width"], params["tail_length"],
-            _mismatch_deltas(mismatches, f"mtp{stage}"),
+            pmos, params["tail_pmos_width"], params["tail_length"], deltas(f"mtp{stage}")
         )
         i_tail_p = np.abs(tail_p.drain_current(half, half - vdd + half, vdd, vdd))
         inv_n = _device_arrays(
-            nmos, params["nmos_width"], params["nmos_length"],
-            _mismatch_deltas(mismatches, f"mn{stage}"),
+            nmos, params["nmos_width"], params["nmos_length"], deltas(f"mn{stage}")
         )
         i_inv_n = inv_n.drain_current(half, vdd, 0.0, 0.0)
         inv_p = _device_arrays(
-            pmos, params["pmos_width"], params["pmos_length"],
-            _mismatch_deltas(mismatches, f"mp{stage}"),
+            pmos, params["pmos_width"], params["pmos_length"], deltas(f"mp{stage}")
         )
         i_inv_p = np.abs(inv_p.drain_current(half, 0.0 - 0.0, vdd, vdd))
         pull_down = np.minimum(i_tail_n, i_inv_n)
         pull_up = np.minimum(np.maximum(i_tail_p, 0.3 * i_tail_n), i_inv_p)
         current = 0.5 * (pull_down + pull_up)
         return np.maximum(current, 1e-9)
+
+
+def _device_overrides(mismatch: Optional[MismatchSample]) -> Optional[Dict]:
+    """Per-device model-card overrides of a mismatch sample (``None`` if empty)."""
+    if mismatch is None or not mismatch.devices():
+        return None
+    return {name: mismatch.for_device(name) for name in mismatch.devices()}
 
 
 # The worker-side evaluator is installed once per pool through the executor
@@ -781,62 +739,24 @@ def _initialise_spice_worker(evaluator: "RingVcoSpiceEvaluator") -> None:
     _SPICE_WORKER_EVALUATOR = evaluator
 
 
-def _evaluate_spice_in_worker(
-    task: Tuple[VcoDesign, Technology, Optional[MismatchSample]],
-) -> VcoPerformance:
-    if _SPICE_WORKER_EVALUATOR is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process was not initialised with an evaluator")
-    design, technology, mismatch = task
-    return _SPICE_WORKER_EVALUATOR.evaluate(
-        design, technology=technology, mismatch=mismatch
-    )
-
-
-def _evaluate_spice_chunk_traced(
-    payload: Tuple[
-        Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]],
-        Optional[dict],
-        int,
-    ],
+def _evaluate_spice_chunk(
+    payload: Tuple[Sequence[Tuple[VcoDesign, Technology, MismatchSample]], Optional[dict], int],
 ) -> Tuple[List[VcoPerformance], List[dict]]:
-    """Traced chunk evaluation inside a pool worker.
+    """Evaluate one chunk of tasks inside a pool worker.
 
-    The child process cannot see the parent's trace, so it records its
-    chunk span into a throwaway trace (seeded from the shipped
-    :func:`~repro.obs.trace.trace_context`) and returns the span records
-    with the results; the parent merges them.  Evaluation itself is the
-    same scalar :meth:`RingVcoSpiceEvaluator.evaluate` loop -- spans
-    never touch the numbers.
+    The child process cannot see the parent's trace, so when the parent
+    ships a :func:`~repro.obs.trace.trace_context` the chunk span is
+    recorded into a throwaway trace and its records travel back with the
+    results; the parent merges them.  Spans never touch the numbers.
     """
     tasks, context, chunk_index = payload
-    if _SPICE_WORKER_EVALUATOR is None:  # pragma: no cover - defensive
+    evaluator = _SPICE_WORKER_EVALUATOR
+    if evaluator is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process was not initialised with an evaluator")
+    name = "spice.lane_chunk" if evaluator.engine == "lanes" else "spice.chunk"
     with obs_trace.collect_spans(context) as spans:
-        with obs_trace.span("spice.chunk", chunk=chunk_index, n_tasks=len(tasks)):
-            results = [_evaluate_spice_in_worker(task) for task in tasks]
-    return results, spans
-
-
-def _evaluate_spice_lanes_in_worker(
-    tasks: Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]],
-) -> List[VcoPerformance]:
-    if _SPICE_WORKER_EVALUATOR is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process was not initialised with an evaluator")
-    return _SPICE_WORKER_EVALUATOR.evaluate_lane_chunk(tasks)
-
-
-def _evaluate_spice_lanes_traced(
-    payload: Tuple[
-        Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]],
-        Optional[dict],
-        int,
-    ],
-) -> Tuple[List[VcoPerformance], List[dict]]:
-    """Traced lane-chunk evaluation inside a pool worker (see above)."""
-    tasks, context, chunk_index = payload
-    with obs_trace.collect_spans(context) as spans:
-        with obs_trace.span("spice.lane_chunk", chunk=chunk_index, n_tasks=len(tasks)):
-            results = _evaluate_spice_lanes_in_worker(tasks)
+        with obs_trace.span(name, chunk=chunk_index, n_tasks=len(tasks)):
+            results = evaluator.evaluate_chunk(tasks)
     return results, spans
 
 
@@ -919,18 +839,15 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
     ) -> VcoPerformance:
         """Evaluate the five performances with transistor-level transients."""
         tech = technology or self.technology
-        design = design.clamped(tech)
-        overrides = None
-        if mismatch is not None and mismatch.devices():
-            overrides = {name: mismatch.for_device(name) for name in mismatch.devices()}
-        return self._testbench(tech).run(design, device_overrides=overrides)
+        return self._testbench(tech).run(
+            design.clamped(tech), device_overrides=_device_overrides(mismatch)
+        )
 
     def evaluate_batch(
         self,
         designs: Sequence[VcoDesign],
         technology: Optional[Technology] = None,
-        technologies: Optional[Sequence[Technology]] = None,
-        mismatches: Optional[Sequence[MismatchSample]] = None,
+        samples: Optional[ProcessSampleBatch] = None,
     ) -> List[VcoPerformance]:
         """Fan a batch of transistor-level evaluations out over a process pool.
 
@@ -938,99 +855,27 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         analytical evaluator the batch here parallelises across processes:
         the pool is initialised once with the (picklable) evaluator, the
         (design, technology, mismatch) triples are mapped in chunks, and
-        order is preserved.  Every worker runs the exact same scalar
-        :meth:`evaluate`, so the results are identical to the serial loop.
-        Batches too small to amortise a pool (or ``n_workers=1``) fall back
-        to the inherited serial loop.
+        order is preserved.  The ``lanes`` engine cuts ``lane_width``-sized
+        chunks, each one lane-parallel transient, composing the two levels
+        of parallelism (vectorised lanes inside a process, pool across
+        processes); the other engines cut about four chunks per worker and
+        run the exact same scalar :meth:`evaluate`, so the results are
+        identical to the serial loop.  A single chunk (or ``n_workers=1``)
+        is evaluated in-process.
         """
-        designs_b, techs, mms = _broadcast_batch(
-            designs, technology or self.technology, technologies, mismatches
-        )
-        tasks = list(zip(designs_b, techs, mms))
+        tasks = _batch_tasks(designs, self._samples_or_nominal(technology, samples))
         n_tasks = len(tasks)
         EVALUATIONS.inc(n_tasks, backend=f"spice-{self.engine}")
         if self.engine == "lanes":
-            return self._evaluate_batch_lanes(tasks)
-        n_workers = min(self.pool_size(), n_tasks)
-        if n_workers < 2 or n_tasks < 2:
-            return [
-                self.evaluate(design, technology=tech, mismatch=mismatch)
-                for design, tech, mismatch in tasks
-            ]
-        with obs_trace.span(
-            "spice.evaluate_batch", n_tasks=n_tasks, n_workers=n_workers
-        ) as attrs:
-            context = obs_trace.trace_context()
-            chunksize = max(1, -(-n_tasks // (n_workers * 4)))
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_initialise_spice_worker,
-                initargs=(self,),
-            ) as executor:
-                if context is None:
-                    return list(
-                        executor.map(
-                            _evaluate_spice_in_worker, tasks, chunksize=chunksize
-                        )
-                    )
-                # Traced runs ship the chunks explicitly so each pool
-                # worker can hand its chunk span back with the results.
-                chunks = [
-                    tasks[start : start + chunksize]
-                    for start in range(0, n_tasks, chunksize)
-                ]
-                if attrs is not None:
-                    attrs["n_chunks"] = len(chunks)
-                results: List[VcoPerformance] = []
-                for chunk_results, spans in executor.map(
-                    _evaluate_spice_chunk_traced,
-                    [(chunk, context, index) for index, chunk in enumerate(chunks)],
-                ):
-                    results.extend(chunk_results)
-                    obs_trace.merge_spans(spans)
-                return results
-
-    def evaluate_lane_chunk(
-        self, tasks: Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]]
-    ) -> List[VcoPerformance]:
-        """Evaluate one chunk of tasks through the lane-parallel test bench."""
-        prepared = []
-        for design, technology, mismatch in tasks:
-            tech = technology or self.technology
-            design = design.clamped(tech)
-            overrides = None
-            if mismatch is not None and mismatch.devices():
-                overrides = {name: mismatch.for_device(name) for name in mismatch.devices()}
-            prepared.append((design, tech, overrides))
-        return self._testbench(self.technology).run_batch(prepared)
-
-    def _evaluate_batch_lanes(
-        self, tasks: List[Tuple[VcoDesign, Technology, Optional[MismatchSample]]]
-    ) -> List[VcoPerformance]:
-        """Lane-parallel batch path: in-process lane batches, pooled chunks.
-
-        The batch is cut into ``lane_width``-sized chunks; each chunk is one
-        :meth:`VcoTestbench.run_batch` call (a single lane-parallel
-        transient).  When there are several chunks and more than one worker
-        the chunks fan out over the existing process pool, composing the
-        two levels of parallelism (vectorised lanes inside a process, pool
-        across processes).
-        """
-        chunks = [
-            tasks[start : start + self.lane_width]
-            for start in range(0, len(tasks), self.lane_width)
-        ]
+            chunksize = self.lane_width
+        else:
+            chunksize = max(1, -(-n_tasks // (min(self.pool_size(), n_tasks) * 4)))
+        chunks = [tasks[start : start + chunksize] for start in range(0, n_tasks, chunksize)]
         n_workers = min(self.pool_size(), len(chunks))
-        if n_workers < 2 or len(chunks) < 2:
-            results: List[VcoPerformance] = []
-            for chunk in chunks:
-                results.extend(self.evaluate_lane_chunk(chunk))
-            return results
+        if n_workers < 2:
+            return [result for chunk in chunks for result in self.evaluate_chunk(chunk)]
         with obs_trace.span(
-            "spice.evaluate_batch",
-            n_tasks=len(tasks),
-            n_workers=n_workers,
-            n_chunks=len(chunks),
+            "spice.evaluate_batch", n_tasks=n_tasks, n_workers=n_workers, n_chunks=len(chunks)
         ):
             context = obs_trace.trace_context()
             with ProcessPoolExecutor(
@@ -1038,20 +883,30 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
                 initializer=_initialise_spice_worker,
                 initargs=(self,),
             ) as executor:
-                results = []
-                if context is None:
-                    for chunk_result in executor.map(
-                        _evaluate_spice_lanes_in_worker, chunks
-                    ):
-                        results.extend(chunk_result)
-                    return results
-                for chunk_result, spans in executor.map(
-                    _evaluate_spice_lanes_traced,
+                results: List[VcoPerformance] = []
+                for chunk_results, spans in executor.map(
+                    _evaluate_spice_chunk,
                     [(chunk, context, index) for index, chunk in enumerate(chunks)],
                 ):
-                    results.extend(chunk_result)
+                    results.extend(chunk_results)
                     obs_trace.merge_spans(spans)
                 return results
+
+    def evaluate_chunk(
+        self, tasks: Sequence[Tuple[VcoDesign, Technology, MismatchSample]]
+    ) -> List[VcoPerformance]:
+        """Evaluate one chunk of tasks: one lane-parallel transient for the
+        ``lanes`` engine, the scalar :meth:`evaluate` loop otherwise."""
+        if self.engine != "lanes":
+            return [
+                self.evaluate(design, technology=tech, mismatch=mismatch)
+                for design, tech, mismatch in tasks
+            ]
+        prepared = [
+            (design.clamped(tech), tech, _device_overrides(mismatch))
+            for design, tech, mismatch in tasks
+        ]
+        return self._testbench(self.technology).run_batch(prepared)
 
     def pool_size(self) -> int:
         """Worker count of the batch pool (configured or the shared default)."""

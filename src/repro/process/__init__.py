@@ -19,8 +19,13 @@ paper reports (relative sigma in percent, parametric yield, Cpk).
 """
 
 from repro.process.corners import Corner, CornerSet, STANDARD_CORNERS
-from repro.process.mismatch import MismatchModel, MismatchSample
-from repro.process.montecarlo import MonteCarloEngine, MonteCarloResult, ProcessSample
+from repro.process.mismatch import MismatchBatch, MismatchModel, MismatchSample
+from repro.process.montecarlo import (
+    MonteCarloEngine,
+    MonteCarloResult,
+    ProcessSample,
+    ProcessSampleBatch,
+)
 from repro.process.statistics import (
     PerformanceSpread,
     parametric_yield,
@@ -50,9 +55,11 @@ __all__ = [
     "VariationSpec",
     "MismatchModel",
     "MismatchSample",
+    "MismatchBatch",
     "MonteCarloEngine",
     "MonteCarloResult",
     "ProcessSample",
+    "ProcessSampleBatch",
     "PerformanceSpread",
     "spread_percent",
     "parametric_yield",

@@ -9,17 +9,18 @@ paper's Monte Carlo runs use the foundry "variation and mismatch models"
 A :class:`MismatchSample` maps device names to per-device parameter deltas
 so the circuit evaluators can perturb each transistor individually, which
 is what makes jitter and gain spread with device area in a physically
-plausible way.
+plausible way.  A Monte Carlo batch keeps the same deltas as
+``(n_samples, n_devices)`` arrays (:class:`MismatchBatch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MismatchModel", "MismatchSample", "DeviceGeometry"]
+__all__ = ["MismatchModel", "MismatchSample", "MismatchBatch", "DeviceGeometry"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,55 @@ class MismatchSample:
     def devices(self) -> Sequence[str]:
         """Names of all devices carrying mismatch deltas."""
         return list(self.deltas)
+
+
+@dataclass(frozen=True, eq=False)
+class MismatchBatch:
+    """Mismatch deltas of a whole Monte Carlo batch, one column per device.
+
+    ``vth0[i, j]`` and ``u0_rel[i, j]`` are sample ``i``'s deltas of device
+    ``devices[j]``.  Vectorised evaluators read a device's columns with
+    :meth:`column`; ``batch[i]`` builds sample ``i`` as a
+    :class:`MismatchSample` of Python floats for scalar consumers, and
+    ``batch[start:stop]`` is a sub-batch.
+    """
+
+    devices: Tuple[str, ...]
+    vth0: np.ndarray
+    u0_rel: np.ndarray
+
+    def __post_init__(self) -> None:
+        # A repeated device name keeps its last column, like the dict of
+        # a materialised sample.
+        index = {name: column for column, name in enumerate(self.devices)}
+        object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def empty(cls, n_samples: int) -> "MismatchBatch":
+        """A batch of ``n_samples`` samples without mismatch."""
+        return cls(devices=(), vth0=np.zeros((n_samples, 0)), u0_rel=np.zeros((n_samples, 0)))
+
+    def __len__(self) -> int:
+        return self.vth0.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return MismatchBatch(self.devices, self.vth0[key], self.u0_rel[key])
+        vth0 = self.vth0[key].tolist()
+        u0_rel = self.u0_rel[key].tolist()
+        return MismatchSample(
+            {
+                name: {"vth0": delta_vth0, "u0_rel": delta_u0}
+                for name, delta_vth0, delta_u0 in zip(self.devices, vth0, u0_rel)
+            }
+        )
+
+    def column(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(vth0, u0_rel)`` columns of one device; ``None`` when it has no deltas."""
+        index = self._index.get(name)
+        if index is None:
+            return None
+        return self.vth0[:, index], self.u0_rel[:, index]
 
 
 @dataclass(frozen=True)
@@ -91,34 +141,35 @@ class MismatchModel:
         (``vth0`` key) and a relative mobility delta (``u0_rel`` key, to be
         multiplied by the nominal mobility by the consumer).
         """
-        return self.sample_from_draws(
-            devices, rng.standard_normal(self.draws_per_sample(devices))
-        )
+        draws = rng.standard_normal((1, self.draws_per_sample(devices)))
+        return self.sample_from_draws(devices, draws)[0]
 
     def sample_from_draws(
-        self, devices: Sequence[DeviceGeometry], draws: Sequence[float]
-    ) -> MismatchSample:
-        """Build one mismatch sample from pre-drawn standard normals.
+        self, devices: Sequence[DeviceGeometry], draws: np.ndarray
+    ) -> MismatchBatch:
+        """Build the mismatch deltas of a whole batch from pre-drawn normals.
 
-        ``draws`` holds ``(z_vth, z_beta)`` pairs in device order -- the
-        exact consumption order of :meth:`sample` -- so the Monte Carlo
-        engine can draw every sample's normals in one bulk call without
-        changing the seeded value stream.
+        ``draws`` is the ``(n_samples, 2 * n_devices)`` block of standard
+        normals; each row holds ``(z_vth, z_beta)`` pairs in device order,
+        the consumption order of :meth:`sample`, so the Monte Carlo engine
+        can draw every sample's normals in one bulk call without changing
+        the seeded value stream.  The draws are clipped to ``truncation``
+        and scaled by each device's Pelgrom sigma as two array operations.
         """
         draws = np.asarray(draws, dtype=float)
-        if draws.size != self.draws_per_sample(devices):
+        width = self.draws_per_sample(devices)
+        if draws.ndim != 2 or draws.shape[1] != width:
             raise ValueError(
-                f"expected {self.draws_per_sample(devices)} draw(s), got {draws.size}"
+                f"expected an (n_samples, {width}) draw block, got shape {draws.shape}"
             )
-        sample = MismatchSample()
-        for index, device in enumerate(devices):
-            z_vth = float(np.clip(draws[2 * index], -self.truncation, self.truncation))
-            z_beta = float(np.clip(draws[2 * index + 1], -self.truncation, self.truncation))
-            sample.deltas[device.name] = {
-                "vth0": z_vth * self.sigma_vth(device.width, device.length),
-                "u0_rel": z_beta * self.sigma_beta(device.width, device.length),
-            }
-        return sample
+        z = np.clip(draws, -self.truncation, self.truncation)
+        sigma_vth = np.array([self.sigma_vth(d.width, d.length) for d in devices], dtype=float)
+        sigma_beta = np.array([self.sigma_beta(d.width, d.length) for d in devices], dtype=float)
+        return MismatchBatch(
+            devices=tuple(device.name for device in devices),
+            vth0=z[:, 0::2] * sigma_vth,
+            u0_rel=z[:, 1::2] * sigma_beta,
+        )
 
     def sigma_summary(self, devices: Sequence[DeviceGeometry]) -> Dict[str, Dict[str, float]]:
         """Per-device 1-sigma values for reporting."""

@@ -11,30 +11,33 @@ It draws global-variation and mismatch samples with a seeded random
 generator (fully reproducible), evaluates each sample and returns a
 :class:`MonteCarloResult` holding per-sample values, nominal values and the
 spread summaries used to build the paper's variation model.
+
+A drawn batch is a :class:`ProcessSampleBatch`: the shifted model-card
+parameters and the mismatch deltas as one array per quantity, which batch
+evaluators consume whole.  Per-sample :class:`ProcessSample` objects are
+built from it only where a scalar evaluator asks for one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.process.mismatch import DeviceGeometry, MismatchModel, MismatchSample
+from repro.process.mismatch import DeviceGeometry, MismatchBatch, MismatchModel, MismatchSample
 from repro.process.statistics import (
     PerformanceSpread,
     parametric_yield,
     summarise_samples,
 )
-from repro.process.technology import Technology
+from repro.process.technology import Technology, shift_parameters
 from repro.process.variation import GlobalVariationModel
 
-__all__ = ["ProcessSample", "MonteCarloResult", "MonteCarloEngine"]
+__all__ = ["ProcessSample", "ProcessSampleBatch", "MonteCarloResult", "MonteCarloEngine"]
 
 Evaluator = Callable[[Technology, MismatchSample], Mapping[str, float]]
-BatchEvaluator = Callable[
-    [Sequence[Technology], Sequence[MismatchSample]], Sequence[Mapping[str, float]]
-]
+BatchEvaluator = Callable[["ProcessSampleBatch"], Sequence[Mapping[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,63 @@ class ProcessSample:
     index: int
     technology: Technology
     mismatch: MismatchSample
+
+
+@dataclass(frozen=True, eq=False)
+class ProcessSampleBatch:
+    """Drawn process samples as a struct of arrays.
+
+    ``cards[polarity][parameter]`` holds the shifted value of every varied
+    model-card parameter, one entry per sample (both polarity keys are
+    always present; they are empty without global variation), and
+    ``mismatch`` the per-device mismatch deltas.  ``batch[i]`` builds the
+    :class:`ProcessSample` a scalar evaluator needs -- its technology
+    carries exactly these shifted values as Python floats -- and
+    ``batch[start:stop]`` is a sub-batch that keeps the sample indices.
+    """
+
+    technology: Technology
+    cards: Mapping[str, Mapping[str, np.ndarray]]
+    mismatch: MismatchBatch
+    indices: range
+
+    @classmethod
+    def nominal(cls, technology: Technology) -> "ProcessSampleBatch":
+        """One unperturbed sample: no global variation, no mismatch."""
+        return cls(technology, {"nmos": {}, "pmos": {}}, MismatchBatch.empty(1), range(1))
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            cards = {
+                polarity: {name: column[key] for name, column in columns.items()}
+                for polarity, columns in self.cards.items()
+            }
+            return ProcessSampleBatch(
+                self.technology, cards, self.mismatch[key], self.indices[key]
+            )
+        position = range(len(self))[key]
+        return ProcessSample(
+            index=self.indices[position],
+            technology=self._technology(position),
+            mismatch=self.mismatch[position],
+        )
+
+    def __iter__(self) -> Iterator[ProcessSample]:
+        for position in range(len(self)):
+            yield self[position]
+
+    def _technology(self, position: int) -> Technology:
+        shifted = {
+            polarity: self.technology.model(polarity).with_variation(
+                **{name: float(column[position]) for name, column in columns.items()}
+            )
+            for polarity, columns in self.cards.items()
+            if columns
+        }
+        return replace(self.technology, **shifted) if shifted else self.technology
 
 
 @dataclass
@@ -111,14 +171,16 @@ class MonteCarloEngine:
 
     # -- sampling -----------------------------------------------------------------
 
-    def sample_batch(self, devices: Sequence[DeviceGeometry] = ()) -> List[ProcessSample]:
+    def sample_batch(self, devices: Sequence[DeviceGeometry] = ()) -> ProcessSampleBatch:
         """Draw all ``n_samples`` process samples in one bulk RNG call.
 
         The standard normals of every sample are pulled from the generator
         as a single ``(n_samples, k)`` matrix -- numpy fills it from the
         same sequential stream as one-at-a-time scalar draws, so the
         resulting samples are bit-identical to the historical per-sample
-        drawing for any fixed seed.
+        drawing for any fixed seed.  The matrix is then converted column
+        by column: global variation into shifted model-card columns,
+        mismatch into per-device delta columns.
         """
         rng = np.random.default_rng(self.seed)
         use_mismatch = self.include_mismatch and bool(devices)
@@ -130,21 +192,18 @@ class MonteCarloEngine:
             if width
             else np.zeros((self.n_samples, 0))
         )
-        samples: List[ProcessSample] = []
-        for index in range(self.n_samples):
-            row = draws[index]
-            if self.include_global:
-                technology = self.variation.apply_draws(self.technology, row[:k_variation])
-            else:
-                technology = self.technology
-            if use_mismatch:
-                mismatch_sample = self.mismatch.sample_from_draws(devices, row[k_variation:])
-            else:
-                mismatch_sample = MismatchSample()
-            samples.append(
-                ProcessSample(index=index, technology=technology, mismatch=mismatch_sample)
-            )
-        return samples
+        cards: Dict[str, Dict[str, np.ndarray]] = {"nmos": {}, "pmos": {}}
+        if self.include_global:
+            deltas = self.variation.deltas_from_draws(self.technology, draws[:, :k_variation])
+            cards = {
+                polarity: shift_parameters(self.technology.model(polarity), deltas[polarity])
+                for polarity in cards
+            }
+        if use_mismatch:
+            mismatch = self.mismatch.sample_from_draws(devices, draws[:, k_variation:])
+        else:
+            mismatch = MismatchBatch.empty(self.n_samples)
+        return ProcessSampleBatch(self.technology, cards, mismatch, range(self.n_samples))
 
     def samples(self, devices: Sequence[DeviceGeometry] = ()) -> Iterator[ProcessSample]:
         """Yield ``n_samples`` process samples (reproducible for a fixed seed)."""
@@ -174,13 +233,10 @@ class MonteCarloEngine:
         """
         if nominal is None:
             nominal = dict(evaluator(self.technology, MismatchSample()))
-        performances: List[Dict[str, float]] = []
-        for sample in self.samples(devices):
-            result = dict(evaluator(sample.technology, sample.mismatch))
-            if not result:
-                raise ValueError("evaluator returned an empty performance dictionary")
-            performances.append({k: float(v) for k, v in result.items()})
-        return MonteCarloResult(performances=performances, nominal=dict(nominal))
+        results = [
+            evaluator(sample.technology, sample.mismatch) for sample in self.samples(devices)
+        ]
+        return MonteCarloResult(performances=_performances(results), nominal=dict(nominal))
 
     def run_batch(
         self,
@@ -190,9 +246,8 @@ class MonteCarloEngine:
     ) -> MonteCarloResult:
         """Evaluate a batch evaluator on all drawn samples in one call.
 
-        ``evaluator`` receives the full lists of per-sample technologies
-        and mismatch samples and returns one performance dictionary per
-        sample (see
+        ``evaluator`` receives the whole :class:`ProcessSampleBatch` and
+        returns one performance dictionary per sample (see
         :meth:`~repro.circuits.evaluators.VcoEvaluator.monte_carlo_batch_evaluator`).
         Samples and results are index-aligned, so for a vectorised
         evaluator the outcome is identical to :meth:`run` -- only the
@@ -200,24 +255,26 @@ class MonteCarloEngine:
         calls.
         """
         if nominal is None:
-            nominal_results = evaluator([self.technology], [MismatchSample()])
+            nominal_results = evaluator(ProcessSampleBatch.nominal(self.technology))
             if len(nominal_results) != 1:
                 raise ValueError("batch evaluator returned no nominal result")
             nominal = dict(nominal_results[0])
         samples = self.sample_batch(devices)
-        results = evaluator(
-            [sample.technology for sample in samples],
-            [sample.mismatch for sample in samples],
-        )
+        results = evaluator(samples)
         if len(results) != len(samples):
             raise ValueError(
                 f"batch evaluator returned {len(results)} result(s) for "
                 f"{len(samples)} sample(s)"
             )
-        performances: List[Dict[str, float]] = []
-        for result in results:
-            result = dict(result)
-            if not result:
-                raise ValueError("evaluator returned an empty performance dictionary")
-            performances.append({k: float(v) for k, v in result.items()})
-        return MonteCarloResult(performances=performances, nominal=dict(nominal))
+        return MonteCarloResult(performances=_performances(results), nominal=dict(nominal))
+
+
+def _performances(results: Sequence[Mapping[str, float]]) -> List[Dict[str, float]]:
+    """Per-sample performance records as plain ``{name: float}`` dicts."""
+    performances: List[Dict[str, float]] = []
+    for result in results:
+        result = dict(result)
+        if not result:
+            raise ValueError("evaluator returned an empty performance dictionary")
+        performances.append({k: float(v) for k, v in result.items()})
+    return performances

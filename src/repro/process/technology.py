@@ -14,8 +14,10 @@ project needs to know about the process:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Mapping
+
+import numpy as np
 
 from repro.spice.mosfet import MOSFETModel
 
@@ -62,19 +64,10 @@ class Technology:
         shifts are expressed by the caller before calling (the variation
         models produce additive deltas directly).
         """
-        nmos = _shift_model(self.nmos, nmos_deltas or {})
-        pmos = _shift_model(self.pmos, pmos_deltas or {})
-        return Technology(
-            name=self.name,
-            vdd=self.vdd,
-            temperature=self.temperature,
-            nmos=nmos,
-            pmos=pmos,
-            min_length=self.min_length,
-            max_length=self.max_length,
-            min_width=self.min_width,
-            max_width=self.max_width,
-            stage_load_capacitance=self.stage_load_capacitance,
+        return replace(
+            self,
+            nmos=_shift_model(self.nmos, nmos_deltas or {}),
+            pmos=_shift_model(self.pmos, pmos_deltas or {}),
         )
 
     def clamp_length(self, length: float) -> float:
@@ -86,20 +79,40 @@ class Technology:
         return min(max(width, self.min_width), self.max_width)
 
 
-def _shift_model(model: MOSFETModel, deltas: Mapping[str, float]) -> MOSFETModel:
-    if not deltas:
-        return model
-    overrides: Dict[str, float] = {}
+#: Parameters that must stay positive: a shift never takes them below
+#: 5 % of their nominal value.
+_POSITIVE_PARAMETERS = ("tox", "u0", "phi", "n_sub", "e_crit")
+
+
+def shift_parameters(model: MOSFETModel, deltas: Mapping[str, Any]) -> Dict[str, Any]:
+    """Shifted values ``nominal + delta`` of the model-card parameters in ``deltas``.
+
+    Parameters that must stay positive are floored at 5 % of nominal.  A
+    delta may be a float or an array (one value per Monte Carlo sample);
+    arrays shift elementwise with the exact arithmetic of the float path,
+    including the floor (``max(shifted, floor)`` keeps ``shifted`` unless
+    the floor is strictly greater).
+    """
+    shifted: Dict[str, Any] = {}
     for attribute, delta in deltas.items():
         if not hasattr(model, attribute):
             raise AttributeError(f"MOSFET model has no parameter {attribute!r}")
-        current = getattr(model, attribute)
-        shifted = current + delta
-        # Physical floors: oxide thickness, mobility and phi must stay positive.
-        if attribute in ("tox", "u0", "phi", "n_sub", "e_crit"):
-            shifted = max(shifted, 0.05 * current)
-        overrides[attribute] = shifted
-    return model.with_variation(**overrides)
+        nominal = getattr(model, attribute)
+        value = nominal + delta
+        if attribute in _POSITIVE_PARAMETERS:
+            floor = 0.05 * nominal
+            if isinstance(value, np.ndarray):
+                value = np.where(floor > value, floor, value)
+            else:
+                value = max(value, floor)
+        shifted[attribute] = value
+    return shifted
+
+
+def _shift_model(model: MOSFETModel, deltas: Mapping[str, float]) -> MOSFETModel:
+    if not deltas:
+        return model
+    return model.with_variation(**shift_parameters(model, deltas))
 
 
 #: The default technology used by every example, test and benchmark.

@@ -5,8 +5,9 @@ electrical parameters as (approximately) independent normal distributions.
 :class:`GlobalVariationModel` captures that structure: each varied model
 parameter has a :class:`VariationSpec` giving its standard deviation
 (absolute or relative to the nominal value) and optional truncation, and a
-single draw produces the additive deltas to apply to both the NMOS and the
-PMOS model cards of a :class:`~repro.process.technology.Technology`.
+row of draws produces the additive deltas to apply to both the NMOS and the
+PMOS model cards of a :class:`~repro.process.technology.Technology` (a
+block of rows gives one delta column per varied parameter).
 
 The default numbers are representative of a 0.12 um CMOS process:
 ``sigma(Vth) = 15 mV``, ``sigma(tox)/tox = 1.5%``, ``sigma(u0)/u0 = 3%``,
@@ -16,7 +17,7 @@ The default numbers are representative of a 0.12 um CMOS process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -41,11 +42,11 @@ class VariationSpec:
     #: standard-normal draw (e.g. NMOS and PMOS oxide thickness).
     correlation_group: Optional[str] = None
 
-    def delta(self, nominal: float, standard_normal: float) -> float:
-        """Convert a standard-normal draw into an additive parameter delta."""
+    def delta(self, nominal: float, standard_normal: np.ndarray) -> np.ndarray:
+        """Convert standard-normal draws (elementwise) into additive parameter deltas."""
         z = standard_normal
         if self.truncation > 0.0:
-            z = float(np.clip(z, -self.truncation, self.truncation))
+            z = np.clip(z, -self.truncation, self.truncation)
         sigma_abs = self.sigma * abs(nominal) if self.relative else self.sigma
         return z * sigma_abs
 
@@ -100,45 +101,52 @@ class GlobalVariationModel:
 
         Returns ``{"nmos": {param: delta, ...}, "pmos": {...}}``.
         """
-        draws = rng.standard_normal(self.n_random_variables)
-        return self.deltas_from_draws(technology, draws)
+        draws = rng.standard_normal((1, self.n_random_variables))
+        columns = self.deltas_from_draws(technology, draws)
+        return {
+            polarity: {parameter: float(column[0]) for parameter, column in deltas.items()}
+            for polarity, deltas in columns.items()
+        }
 
     def deltas_from_draws(
-        self, technology: Technology, draws: Sequence[float]
-    ) -> Dict[str, Dict[str, float]]:
-        """Convert pre-drawn standard normals into model-card deltas.
+        self, technology: Technology, draws: np.ndarray
+    ) -> Dict[str, Dict[str, np.ndarray]]:
+        """Convert a block of pre-drawn standard normals into delta columns.
 
-        ``draws`` must contain :attr:`n_random_variables` values in the
-        spec-declaration consumption order (each correlation group consumes
-        one draw at its first occurrence).  Separating the drawing from the
-        conversion lets the Monte Carlo engine pull *all* samples from the
-        generator in one bulk ``standard_normal`` call -- which yields the
-        identical value stream, since numpy fills arrays from the same
-        sequential source -- and build the shifted technologies afterwards.
+        ``draws`` has shape ``(n_samples, n_random_variables)``; its columns
+        follow the spec-declaration consumption order (each correlation
+        group consumes one column at its first occurrence).  Returns
+        ``{"nmos": {param: deltas}, "pmos": {...}}`` with one delta per
+        sample in each array.  Separating the drawing from the conversion
+        lets the Monte Carlo engine pull *all* samples from the generator
+        in one bulk ``standard_normal`` call -- which yields the identical
+        value stream, since numpy fills arrays from the same sequential
+        source -- and shift the model cards column by column afterwards.
         """
         draws = np.asarray(draws, dtype=float)
-        if draws.size != self.n_random_variables:
+        if draws.ndim != 2 or draws.shape[1] != self.n_random_variables:
             raise ValueError(
-                f"expected {self.n_random_variables} draw(s), got {draws.size}"
+                f"expected an (n_samples, {self.n_random_variables}) draw block, "
+                f"got shape {draws.shape}"
             )
         cursor = 0
-        group_draws: Dict[str, float] = {}
-        deltas: Dict[str, Dict[str, float]] = {"nmos": {}, "pmos": {}}
+        group_columns: Dict[str, int] = {}
+        deltas: Dict[str, Dict[str, np.ndarray]] = {"nmos": {}, "pmos": {}}
         for polarity, spec_list in self.specs.items():
             model = technology.model(polarity)
             for spec in spec_list:
-                if spec.correlation_group is not None:
-                    if spec.correlation_group not in group_draws:
-                        group_draws[spec.correlation_group] = float(draws[cursor])
-                        cursor += 1
-                    z = group_draws[spec.correlation_group]
+                if spec.correlation_group is None:
+                    column = cursor
+                    cursor += 1
+                elif spec.correlation_group in group_columns:
+                    column = group_columns[spec.correlation_group]
                 else:
-                    z = float(draws[cursor])
+                    column = group_columns[spec.correlation_group] = cursor
                     cursor += 1
                 nominal = getattr(model, spec.parameter)
                 deltas[polarity][spec.parameter] = deltas[polarity].get(
                     spec.parameter, 0.0
-                ) + spec.delta(nominal, z)
+                ) + spec.delta(nominal, draws[:, column])
         return deltas
 
     def apply_sample(
@@ -146,13 +154,6 @@ class GlobalVariationModel:
     ) -> Technology:
         """Draw one sample and return the shifted technology."""
         deltas = self.sample_deltas(technology, rng)
-        return technology.with_deltas(deltas.get("nmos"), deltas.get("pmos"))
-
-    def apply_draws(
-        self, technology: Technology, draws: Sequence[float]
-    ) -> Technology:
-        """Apply pre-drawn standard normals and return the shifted technology."""
-        deltas = self.deltas_from_draws(technology, draws)
         return technology.with_deltas(deltas.get("nmos"), deltas.get("pmos"))
 
     def sigma_summary(self, technology: Technology) -> Dict[str, float]:

@@ -351,3 +351,31 @@ def test_vco_lanes_frequency_and_divider_lanes_match_scalar():
         divider_lanes.output_period(np.zeros(5))
     with pytest.raises(ValueError):
         divider_lanes.output_frequency(np.zeros(5))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_zero_frequency_vco_matches_lane_path(seed):
+    """A variant clamped to 0 Hz has an infinite period on both paths.
+
+    A 150 % spread on ``fmin`` floors the minimum variant's lower tuning
+    limit at zero, so the loop starts at 0 Hz: the lane division gives
+    ``inf`` and the scalar loop must give the same instead of raising.
+    """
+    vco = BehaviouralVco(
+        kvco=1e9,
+        ivco=1e-3,
+        jvco=1e-12,
+        fmin=1e8,
+        fmax=2e9,
+        variation=VcoVariationTables.constant(0.0, 0.0, 0.0, 150.0, 0.0),
+    )
+    pll = BehaviouralPll(vco, PllDesign())
+    assert vco.frequency_bounds("min")["fmin"] == 0.0
+    scalar = pll.simulate(variant="min", max_time=1e-6, seed=seed)
+    with np.errstate(divide="ignore"):
+        batch = BehaviouralPll.simulate_batch([pll], variant="min", max_time=1e-6, seed=seed)
+        (lane,) = BehaviouralPll.evaluate_batch([pll], variant="min", max_time=1e-6, seed=seed)
+    assert scalar.frequency[0] == 0.0
+    for name in ("control_voltage", "frequency", "phase_error"):
+        assert np.array_equal(getattr(scalar, name), getattr(batch, name)[0]), name
+    assert pll.evaluate(variant="min", max_time=1e-6, seed=seed) == lane

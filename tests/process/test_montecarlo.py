@@ -176,12 +176,9 @@ def test_engine_samples_iterator_is_reproducible():
 # -- batch evaluation path ---------------------------------------------------------------
 
 
-def _batch_evaluator(technologies, mismatches):
+def _batch_evaluator(samples):
     """Batch counterpart of ``_evaluator`` (one result dict per sample)."""
-    return [
-        _evaluator(technology, mismatch)
-        for technology, mismatch in zip(technologies, mismatches)
-    ]
+    return [_evaluator(sample.technology, sample.mismatch) for sample in samples]
 
 
 def test_run_batch_matches_run_bitwise():
@@ -210,13 +207,13 @@ def test_run_batch_honours_given_nominal():
 def test_run_batch_rejects_wrong_result_count():
     engine = MonteCarloEngine(TECH_012UM, n_samples=4, seed=24)
     with pytest.raises(ValueError):
-        engine.run_batch(lambda techs, mms: [_evaluator(techs[0], mms[0])])
+        engine.run_batch(lambda samples: [_evaluator(samples[0].technology, samples[0].mismatch)])
 
 
 def test_run_batch_rejects_empty_results():
     engine = MonteCarloEngine(TECH_012UM, n_samples=2, seed=25)
     with pytest.raises(ValueError):
-        engine.run_batch(lambda techs, mms: [{} for _ in techs])
+        engine.run_batch(lambda samples: [{} for _ in samples])
 
 
 def test_sample_batch_matches_iterator_stream():
