@@ -64,7 +64,8 @@ def test_table1_benchmark_monte_carlo_kernel(benchmark, evaluator, settings):
             TECH_012UM, n_samples=settings["mc_samples_per_point"], seed=1
         )
         return engine.run(
-            evaluator.monte_carlo_evaluator(design), devices=vco_device_geometries(design)
+            evaluator.monte_carlo_batch_evaluator(design),
+            devices=vco_device_geometries(design),
         )
 
     result = benchmark(run_mc)

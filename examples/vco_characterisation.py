@@ -97,7 +97,7 @@ def main() -> None:
     evaluator = RingVcoAnalyticalEvaluator(TECH_012UM)
     engine = MonteCarloEngine(TECH_012UM, n_samples=30, seed=2009)
     result = engine.run(
-        evaluator.monte_carlo_evaluator(design), devices=vco_device_geometries(design)
+        evaluator.monte_carlo_batch_evaluator(design), devices=vco_device_geometries(design)
     )
     for name, spread in result.spreads().items():
         print(f"  {name:>8}: mean = {spread.mean:.4g}, spread = {spread.spread_percent:.2f} %")

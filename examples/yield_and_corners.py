@@ -51,7 +51,7 @@ def monte_carlo_analysis(design: VcoDesign, n_samples: int = 100):
     evaluator = RingVcoAnalyticalEvaluator(TECH_012UM)
     engine = MonteCarloEngine(TECH_012UM, n_samples=n_samples, seed=2009)
     result = engine.run(
-        evaluator.monte_carlo_evaluator(design), devices=vco_device_geometries(design)
+        evaluator.monte_carlo_batch_evaluator(design), devices=vco_device_geometries(design)
     )
     print(f"\nMonte Carlo analysis ({n_samples} samples, global variation + mismatch):")
     for name, spread in result.spreads().items():

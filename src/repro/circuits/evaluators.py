@@ -11,22 +11,25 @@ Two evaluators implement the same interface (:class:`VcoEvaluator`):
 * :class:`RingVcoAnalyticalEvaluator` computes the same five performances
   from first-order device physics (starving current from the shared MOSFET
   model equations, delay = C V / I, thermal-noise jitter, dynamic +
-  crowbar supply current).  One evaluation costs microseconds, which makes
-  the paper's 3,000-sample NSGA-II run and the per-Pareto-point Monte Carlo
-  analysis laptop-scale.  Its calibration factors were fitted against the
-  SPICE evaluator so that both engines agree on trends and roughly on
-  magnitude (see ``examples/vco_characterisation.py`` and the unit tests).
+  crowbar supply current).  The model exists once, as numpy array math
+  over a batch of designs or process samples; a single evaluation is a
+  one-row batch.  That makes the paper's 3,000-sample NSGA-II run and the
+  per-Pareto-point Monte Carlo analysis laptop-scale.  Its calibration
+  factors were fitted against the SPICE evaluator so that both engines
+  agree on trends and roughly on magnitude (see
+  ``examples/vco_characterisation.py`` and the unit tests).
 
-Both evaluators accept a technology override and a mismatch sample, which
-is how the Monte Carlo engine injects global process variation and local
-device mismatch.
+Both evaluators take a batch of process samples (``evaluate_batch``) or a
+technology override plus one mismatch sample (``evaluate``), which is how
+the Monte Carlo engine injects global process variation and local device
+mismatch.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +42,7 @@ from repro.obs import trace as obs_trace
 from repro.process.mismatch import MismatchBatch, MismatchSample
 from repro.process.montecarlo import ProcessSampleBatch
 from repro.process.technology import TECH_012UM, Technology
-from repro.spice.mosfet import _ELECTRON_CHARGE, _EPS_OX, MOSFET, MOSFETModel
+from repro.spice.mosfet import _ELECTRON_CHARGE, _EPS_OX, MOSFETModel
 
 __all__ = ["VcoEvaluator", "RingVcoAnalyticalEvaluator", "RingVcoSpiceEvaluator"]
 
@@ -52,8 +55,8 @@ EVALUATIONS = obs_metrics.get_registry().counter(
     ("backend",),
 )
 
-#: Batch adapter signature used by ``MonteCarloEngine.run_batch``: a drawn
-#: Monte Carlo batch in, one performance dictionary per sample out.
+#: Batch adapter signature used by ``MonteCarloEngine.run``: a drawn Monte
+#: Carlo batch in, one performance dictionary per sample out.
 BatchMonteCarloEvaluator = Callable[[ProcessSampleBatch], List[Dict[str, float]]]
 
 
@@ -101,18 +104,8 @@ class VcoEvaluator:
             return samples
         return ProcessSampleBatch.nominal(technology or self.technology)
 
-    def monte_carlo_evaluator(
-        self, design: VcoDesign
-    ) -> Callable[[Technology, MismatchSample], Dict[str, float]]:
-        """Adapter with the signature expected by the Monte Carlo engine."""
-
-        def _evaluate(technology: Technology, mismatch: MismatchSample) -> Dict[str, float]:
-            return self.evaluate(design, technology=technology, mismatch=mismatch).as_dict()
-
-        return _evaluate
-
     def monte_carlo_batch_evaluator(self, design: VcoDesign) -> BatchMonteCarloEvaluator:
-        """Batch adapter for ``MonteCarloEngine.run_batch``."""
+        """Batch adapter for ``MonteCarloEngine.run``: ``design`` under every sample."""
 
         def _evaluate(samples: ProcessSampleBatch) -> List[Dict[str, float]]:
             performances = self.evaluate_batch([design], samples=samples)
@@ -142,9 +135,10 @@ def _batch_tasks(designs: Sequence, samples: ProcessSampleBatch) -> List[Tuple]:
 
 
 def _softplus_overdrive(vov: np.ndarray, n_vt: np.ndarray) -> np.ndarray:
-    """Elementwise smoothed overdrive, bit-identical to the scalar model.
+    """Elementwise smoothed overdrive, bit-identical to the scalar MOSFET model.
 
-    This is the softplus transition of :meth:`MOSFET._channel_current`.
+    This is the softplus transition of
+    :meth:`~repro.spice.mosfet.MOSFET._channel_current`.
     It deliberately calls ``math.exp`` / ``math.log1p`` per element instead
     of the numpy ufuncs: numpy's SIMD transcendentals can differ from libm
     by an ulp, which is enough to push a seeded NSGA-II run onto a
@@ -171,9 +165,9 @@ class _DeviceArrays:
     """Model-card and geometry parameters of one device type, as arrays.
 
     Every field mirrors an attribute consumed by the scalar
-    :meth:`MOSFET._channel_current`; values are either scalars or length-N
-    arrays (N = batch size), so the same expressions evaluate the whole
-    batch at once.
+    :meth:`~repro.spice.mosfet.MOSFET._channel_current`; values are either
+    scalars or length-N arrays (N = batch size), so the same expressions
+    evaluate the whole batch at once.
     """
 
     polarity: int
@@ -191,7 +185,7 @@ class _DeviceArrays:
     temperature: np.ndarray
 
     def channel_current(self, vgs: float, vds: float, vbs: float) -> np.ndarray:
-        """Vectorised transcription of :meth:`MOSFET._channel_current`.
+        """Vectorised transcription of :meth:`~repro.spice.mosfet.MOSFET._channel_current`.
 
         The expressions below keep the scalar code's operation order so
         results stay bit-identical (IEEE arithmetic is deterministic for a
@@ -217,7 +211,7 @@ class _DeviceArrays:
         return np.maximum(ids, 0.0)
 
     def drain_current(self, vd: float, vg: float, vs: float, vb: float) -> np.ndarray:
-        """Vectorised transcription of :meth:`MOSFET.drain_current`.
+        """Vectorised transcription of :meth:`~repro.spice.mosfet.MOSFET.drain_current`.
 
         Bias voltages are scalars in every call site, so the source/drain
         swap resolves to one branch for the whole batch.
@@ -261,7 +255,11 @@ def _card_values(card: MOSFETModel, columns: Dict[str, np.ndarray]) -> Dict:
 
 
 def _device_arrays(card: Dict, width, length, deltas) -> _DeviceArrays:
-    """Build the batch device parameters, applying mismatch like `_device`."""
+    """Build the batch device parameters, applying mismatch deltas if given.
+
+    ``deltas`` is a device's ``(vth0, u0_rel)`` columns: an additive
+    threshold shift and a relative mobility change.
+    """
     vth0 = card["vth0"]
     u0 = card["u0"]
     if deltas is not None:
@@ -393,136 +391,14 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
             **kwargs,
         )
 
-    # -- device helpers --------------------------------------------------------------
-
-    def _device(
-        self,
-        name: str,
-        polarity: str,
-        width: float,
-        length: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> MOSFET:
-        model = technology.model(polarity)
-        if mismatch is not None:
-            deltas = mismatch.for_device(name)
-            if deltas:
-                updates = {}
-                if "vth0" in deltas:
-                    updates["vth0"] = model.vth0 + deltas["vth0"]
-                if "u0_rel" in deltas:
-                    updates["u0"] = model.u0 * (1.0 + deltas["u0_rel"])
-                model = model.with_variation(**updates)
-        return MOSFET(name, "d", "g", "s", "b", model, width, length)
-
-    def _stage_current(
-        self,
-        stage: int,
-        design: VcoDesign,
-        vctrl: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> float:
-        """Starving current of one inverter stage."""
-        vdd = technology.vdd
-        half = vdd / 2.0
-        # NMOS starving transistor sets the discharge current.
-        tail_n = self._device(
-            f"mtn{stage}", "nmos", design.tail_nmos_width, design.tail_length, technology, mismatch
-        )
-        i_tail_n = tail_n.drain_current(half, vctrl, 0.0, 0.0)
-        # The PMOS starving transistor mirrors the bias branch current.
-        tail_p = self._device(
-            f"mtp{stage}", "pmos", design.tail_pmos_width, design.tail_length, technology, mismatch
-        )
-        # Mirror bias: the diode-connected PMOS carries the bias-branch
-        # current; assume the mirror output sits near |Vgs| of the diode.
-        i_tail_p = abs(tail_p.drain_current(half, half - vdd + half, vdd, vdd))
-        # The inverter devices limit the current if they are smaller than the tails.
-        inv_n = self._device(
-            f"mn{stage}", "nmos", design.nmos_width, design.nmos_length, technology, mismatch
-        )
-        i_inv_n = inv_n.drain_current(half, vdd, 0.0, 0.0)
-        inv_p = self._device(
-            f"mp{stage}", "pmos", design.pmos_width, design.pmos_length, technology, mismatch
-        )
-        i_inv_p = abs(inv_p.drain_current(half, 0.0 - 0.0, vdd, vdd))
-        pull_down = min(i_tail_n, i_inv_n)
-        pull_up = min(max(i_tail_p, 0.3 * i_tail_n), i_inv_p)
-        current = 0.5 * (pull_down + pull_up)
-        return max(current, 1e-9)
-
-    def _stage_capacitance(self, design: VcoDesign, technology: Technology) -> float:
-        nmos = technology.nmos
-        pmos = technology.pmos
-        gate = nmos.cox * design.nmos_width * design.nmos_length
-        gate += pmos.cox * design.pmos_width * design.pmos_length
-        overlap = nmos.cgso * design.nmos_width + pmos.cgso * design.pmos_width
-        junction = nmos.cj * design.nmos_width * nmos.drain_extension
-        junction += pmos.cj * design.pmos_width * pmos.drain_extension
-        junction += nmos.cj * design.tail_nmos_width * nmos.drain_extension * 0.5
-        junction += pmos.cj * design.tail_pmos_width * pmos.drain_extension * 0.5
-        return gate + overlap + junction + technology.stage_load_capacitance
-
-    # -- frequency / current / jitter ---------------------------------------------------
-
-    def _frequency(self, currents: List[float], load: float, technology: Technology) -> float:
-        # Each half period charges/discharges the load across ~Vdd/2.
-        delays = [load * (technology.vdd / 2.0) / current for current in currents]
-        period = 2.0 * sum(delays)
-        if period <= 0.0:
-            return 0.0
-        return self.frequency_scale / period
-
-    def _supply_current(
-        self, currents: List[float], load: float, frequency: float, technology: Technology
-    ) -> float:
-        mean_current = sum(currents) / len(currents)
-        c_total = sum(load for _ in currents)
-        dynamic = c_total * technology.vdd * frequency
-        # During each transition roughly one pull-up and one pull-down path
-        # conduct simultaneously for a fraction of the period (crowbar).
-        crowbar = 0.8 * mean_current
-        bias_branch = mean_current  # the vctrl-to-vbp mirror branch
-        return self.current_scale * (dynamic + crowbar + bias_branch)
-
-    def _jitter(self, currents: List[float], load: float, technology: Technology) -> float:
-        kT = _BOLTZMANN * technology.temperature
-        # Thermal noise: per-edge first-crossing error accumulated over 2N edges.
-        sigma_edges = []
-        delays = []
-        for current in currents:
-            sigma_v = math.sqrt(2.0 * kT / load)
-            slope = current / load
-            sigma_edges.append(sigma_v / slope)
-            delays.append(load * (technology.vdd / 2.0) / current)
-        thermal = math.sqrt(2.0 * sum(s * s for s in sigma_edges))
-        # Mismatch between stages converts into deterministic period error
-        # through the spread of the stage delays (one-sigma estimate).
-        mean_delay = sum(delays) / len(delays)
-        if len(delays) > 1:
-            # Squares are written as products: Python's ``x**2`` calls C
-            # ``pow``, which can differ from numpy's ``x*x`` in the last bit.
-            variance = sum((d - mean_delay) * (d - mean_delay) for d in delays) / (
-                len(delays) - 1
-            )
-            deterministic = math.sqrt(variance)
-        else:
-            deterministic = 0.0
-        return self.jitter_scale * math.sqrt(
-            thermal * thermal + deterministic * deterministic
-        )
-
-    # -- public API -----------------------------------------------------------------------
+    # -- evaluation -----------------------------------------------------------------------
 
     def _finalise_performance(self, performance: VcoPerformance) -> VcoPerformance:
         """Topology-specific post-processing of one evaluated design point.
 
         The ring is the identity.  Subclasses (e.g. the pseudo-differential
-        topology) apply their per-topology corrections here, once, so the
-        scalar path, the vectorised path and the generic per-sample loop
-        (which calls :meth:`evaluate`) all agree bit-exactly.
+        topology) apply their per-topology corrections here, once per
+        evaluated batch element.
         """
         return performance
 
@@ -532,28 +408,15 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         technology: Optional[Technology] = None,
         mismatch: Optional[MismatchSample] = None,
     ) -> VcoPerformance:
-        """Evaluate the five performances of one design point analytically."""
-        tech = technology or self.technology
-        design = design.clamped(tech)
-        load = self._stage_capacitance(design, tech)
-        currents_min, currents_max = [
-            [
-                self._stage_current(stage, design, vctrl, tech, mismatch)
-                for stage in range(self.n_stages)
-            ]
-            for vctrl in (self.vctrl_min, self.vctrl_max)
-        ]
-        fmin = self._frequency(currents_min, load, tech)
-        fmax = self._frequency(currents_max, load, tech)
-        span = self.vctrl_max - self.vctrl_min
-        kvco = max(fmax - fmin, 0.0) / span
-        current = self._supply_current(currents_max, load, fmax, tech)
-        jitter = self._jitter(currents_max, load, tech)
-        return self._finalise_performance(
-            VcoPerformance(kvco=kvco, jitter=jitter, current=current, fmin=fmin, fmax=fmax)
-        )
+        """Evaluate the five performances of one design point analytically.
 
-    # -- vectorised batch evaluation ---------------------------------------------------
+        A one-row :meth:`evaluate_batch` call: ``technology`` becomes a
+        one-sample batch and ``mismatch`` its one-row mismatch columns.
+        """
+        samples = ProcessSampleBatch.nominal(technology or self.technology)
+        if mismatch is not None:
+            samples = replace(samples, mismatch=MismatchBatch.from_sample(mismatch))
+        return self.evaluate_batch([design], samples=samples)[0]
 
     def evaluate_batch(
         self,
@@ -561,17 +424,17 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         technology: Optional[Technology] = None,
         samples: Optional[ProcessSampleBatch] = None,
     ) -> List[VcoPerformance]:
-        """True array-in/array-out evaluation of a whole batch.
+        """Array-in/array-out evaluation of a whole batch.
 
-        Every first-order expression of the scalar path is transcribed to
-        numpy over the batch axis with the identical operation order, so
-        the returned performances are bit-identical to calling
-        :meth:`evaluate` per element -- a seeded NSGA-II run or Monte
-        Carlo analysis produces the same results on either path, only
-        faster.  Supports the two batch shapes of the flow: N designs
-        under one technology (optimisation) and one design under a Monte
-        Carlo batch, whose model-card and mismatch columns enter the
-        array expressions directly.
+        The first-order model is written as numpy expressions over the
+        batch axis.  Every row is computed independently of the others, so
+        a row's result does not depend on the batch it travels in: a
+        seeded NSGA-II run or Monte Carlo analysis gives the same numbers
+        whether it evaluates one row per call or the whole batch at once.
+        Supports the two batch shapes of the flow: N designs under one
+        technology (optimisation) and one design under a Monte Carlo
+        batch, whose model-card and mismatch columns enter the array
+        expressions directly.
         """
         samples = self._samples_or_nominal(technology, samples)
         n = _batch_size(designs, samples)
@@ -607,14 +470,17 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         fmax = frequency(currents_max)
         span = self.vctrl_max - self.vctrl_min
         kvco = np.maximum(fmax - fmin, 0.0) / span
-        # Supply current (same bias points as fmax, see _supply_current).
+        # Supply current at the fmax bias point: dynamic switching, the
+        # crowbar current of each transition and the vctrl-to-vbp mirror
+        # branch.
         mean_current = sum(currents_max) / len(currents_max)
         c_total = sum([load] * self.n_stages)
         dynamic = c_total * reference.vdd * fmax
         crowbar = 0.8 * mean_current
         bias_branch = mean_current
         current = self.current_scale * (dynamic + crowbar + bias_branch)
-        # Jitter (thermal first-crossing noise + stage-delay spread).
+        # Jitter: thermal first-crossing noise accumulated over 2N edges,
+        # plus the stage-delay spread that mismatch turns into period error.
         kT = _BOLTZMANN * reference.temperature
         sigma_edges = []
         delays = []
@@ -625,12 +491,17 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
             delays.append(load * (reference.vdd / 2.0) / stage_current)
         thermal = np.sqrt(2.0 * sum(s * s for s in sigma_edges))
         mean_delay = sum(delays) / len(delays)
+        # Squares are written as products: on a one-row batch the operands
+        # are numpy scalars, whose ``x**2`` calls C ``pow`` and can differ
+        # from the array path's ``x*x`` in the last bit.
         if len(delays) > 1:
-            variance = sum((d - mean_delay) ** 2 for d in delays) / (len(delays) - 1)
+            variance = sum((d - mean_delay) * (d - mean_delay) for d in delays) / (
+                len(delays) - 1
+            )
             deterministic = np.sqrt(variance)
         else:
             deterministic = 0.0
-        jitter = self.jitter_scale * np.sqrt(thermal**2 + deterministic**2)
+        jitter = self.jitter_scale * np.sqrt(thermal * thermal + deterministic * deterministic)
 
         columns = [
             np.broadcast_to(np.asarray(column, dtype=float), (n,))
@@ -666,7 +537,8 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         return values
 
     def _batch_stage_capacitance(self, params, nmos, pmos, technology: Technology):
-        """Vectorised transcription of :meth:`_stage_capacitance`."""
+        """Load on one stage output: inverter gate, overlap and junction
+        capacitance, half of each tail drain, and the fixed wiring load."""
         cox_n = _EPS_OX / nmos["tox"]
         cox_p = _EPS_OX / pmos["tox"]
         gate = cox_n * params["nmos_width"] * params["nmos_length"]
@@ -688,10 +560,13 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         mismatch: Optional[MismatchBatch],
         stage: int,
     ) -> np.ndarray:
-        """Vectorised transcription of the current part of :meth:`_stage_bias`.
+        """Starving current of one inverter stage.
 
-        A device without mismatch columns keeps its card values, exactly
-        as the scalar path skips a device its mismatch sample lacks.
+        The NMOS tail sets the discharge current; the PMOS tail mirrors the
+        bias branch, whose diode-connected device is assumed to sit near
+        its own ``|Vgs|``; the inverter devices limit the current when they
+        are smaller than the tails.  A device without mismatch columns
+        keeps its card values.
         """
 
         def deltas(name: str):

@@ -478,15 +478,9 @@ class PseudoDiffAnalyticalEvaluator(RingVcoAnalyticalEvaluator):
         "cross_width",
     )
 
-    def _stage_capacitance(
-        self, design: PseudoDiffVcoDesign, technology: Technology
-    ) -> float:
-        base = super()._stage_capacitance(design, technology)
-        return base + _keeper_capacitance(design, technology)
-
     def _batch_stage_capacitance(self, params, nmos, pmos, technology: Technology):
-        # Identical operation order to the scalar helper above, so the
-        # vectorised path stays bit-identical to the serial one.
+        # The ring's stage load plus one keeper pair, in the operation
+        # order of :func:`_keeper_capacitance`.
         from repro.spice.mosfet import _EPS_OX
 
         base = super()._batch_stage_capacitance(params, nmos, pmos, technology)

@@ -147,11 +147,6 @@ class CircuitLevelOptimisation:
     max_model_points:
         Upper bound on the number of Pareto points carried into the model
         (the densest-crowding points are kept); ``None`` keeps all.
-    mc_batch:
-        Run the per-Pareto-point Monte Carlo analyses through the
-        evaluator's vectorised batch path.  ``None`` (the default) enables
-        it automatically whenever ``config.evaluator`` selects the
-        vectorised backend, so one switch vectorises the whole stage.
     topology:
         The :class:`~repro.circuits.topology.CircuitTopology` optimised;
         resolved from the evaluator (or the default ring) when omitted.
@@ -167,7 +162,6 @@ class CircuitLevelOptimisation:
         max_model_points: Optional[int] = 24,
         vctrl_min: float = 0.5,
         vctrl_max: Optional[float] = None,
-        mc_batch: Optional[bool] = None,
         topology: Optional[CircuitTopology] = None,
     ) -> None:
         self.technology = technology
@@ -179,9 +173,6 @@ class CircuitLevelOptimisation:
         self.max_model_points = max_model_points
         self.vctrl_min = vctrl_min
         self.vctrl_max = technology.vdd if vctrl_max is None else vctrl_max
-        if mc_batch is None:
-            mc_batch = self.config.evaluator.lower() in ("vectorised", "vectorized")
-        self.mc_batch = mc_batch
 
     # -- pieces -------------------------------------------------------------------------
 
@@ -251,7 +242,6 @@ class CircuitLevelOptimisation:
             n_samples=self.mc_samples,
             seed=self.mc_seed,
             progress=progress,
-            use_batch=self.mc_batch,
             checkpoint=checkpoint,
             cancel=cancel,
         )

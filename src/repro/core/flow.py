@@ -214,17 +214,17 @@ class FlowReport:
 class HierarchicalFlow:
     """Top-down, yield-aware hierarchical optimisation of the PLL.
 
-    ``evaluation`` selects the batch-evaluation backend applied across the
-    whole flow (``"serial"``, ``"vectorised"`` or ``"process"``, see
-    :mod:`repro.optim.evaluation`): it configures both NSGA-II stages
-    (the system stage included, via the lane-parallel PLL transient
-    engine) and -- for ``"vectorised"`` -- routes the per-Pareto-point
-    Monte Carlo analyses and the final yield verification through the
-    evaluators' batch paths.  ``n_workers`` sizes the ``"process"``
-    backend's pool and, when a :class:`RingVcoSpiceEvaluator` without an
-    explicit worker count drives the flow, its batch pool too.  Explicitly
-    passed stage configs keep their own settings.  The default stays
-    ``"serial"`` so seeded historical results are bit-identical.
+    ``evaluation`` selects the NSGA-II population backend of both stages
+    (``"serial"``, ``"vectorised"`` or ``"process"``, see
+    :mod:`repro.optim.evaluation`; the system stage vectorises through the
+    lane-parallel PLL transient engine).  Every backend gives bit-identical
+    results, so it only changes how fast a run is.  The per-Pareto-point
+    Monte Carlo analyses, the yield verification and the corner sweep
+    always evaluate whole sample batches, whatever the backend.
+    ``n_workers`` sizes the ``"process"`` backend's pool and, when a
+    :class:`RingVcoSpiceEvaluator` without an explicit worker count drives
+    the flow, its batch pool too.  Explicitly passed stage configs keep
+    their own settings.
 
     ``n_stages`` selects the ring length of the VCO (odd, >= 3; the paper
     uses five stages) when no explicit evaluator is passed; an explicitly
@@ -368,11 +368,6 @@ class HierarchicalFlow:
         flow.default_run_verification = scenario.run_verification
         return flow
 
-    @property
-    def _use_batch_mc(self) -> bool:
-        """Whether Monte Carlo analyses should use the batch path."""
-        return self.evaluation.lower() in ("vectorised", "vectorized")
-
     # -- stages --------------------------------------------------------------------------
 
     def circuit_stage(
@@ -395,7 +390,6 @@ class HierarchicalFlow:
             mc_samples=self.mc_samples_per_point,
             mc_seed=self.seed,
             max_model_points=self.max_model_points,
-            mc_batch=self._use_batch_mc,
             topology=self.topology,
         )
         return stage.run(progress=progress, checkpoint=checkpoint, cancel=cancel)
@@ -435,7 +429,6 @@ class HierarchicalFlow:
             specifications=self.specifications,
             n_samples=self.yield_samples,
             seed=self.seed + 1,
-            use_batch=self._use_batch_mc,
         )
         return analysis.run(
             selected_values, checkpoint=checkpoint, batch_size=batch_size, cancel=cancel
@@ -474,7 +467,6 @@ class HierarchicalFlow:
             evaluator=self.evaluator,
             technology=self.technology,
             corners=corner_set(corners),
-            use_batch=self._use_batch_mc,
         )
         return analysis.run(circuit, cancel=cancel)
 

@@ -57,6 +57,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.report import report_payload
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
+from repro.optim.evaluation import EVALUATOR_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="registered scenario name (see 'repro list')")
     run.add_argument(
         "--evaluation",
-        choices=("serial", "vectorised", "vectorized", "process"),
+        choices=EVALUATOR_CHOICES,
         default=None,
         help="batch-evaluation backend override (does not change the cache key)",
     )
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--url", default=DEFAULT_URL, help="service URL")
     submit.add_argument(
         "--evaluation",
-        choices=("serial", "vectorised", "vectorized", "process"),
+        choices=EVALUATOR_CHOICES,
         default=None,
         help="batch-evaluation backend override (does not change the job id)",
     )

@@ -12,21 +12,24 @@ individuals back in one call.
 Three interchangeable backends are provided:
 
 * :class:`SerialEvaluator` -- one :meth:`Problem.evaluate_vector` call per
-  vector.  This is the default and is bit-identical to the historical
-  one-individual-at-a-time behaviour (same arithmetic, same seeded RNG
-  stream), so existing seeded results do not change.
+  vector.  This is the default.
 * :class:`VectorisedEvaluator` -- a single
   :meth:`~repro.optim.problem.Problem.evaluate_batch` call.  Problems that
-  implement array-in/array-out evaluation (e.g. the VCO sizing problem
-  backed by :class:`~repro.circuits.evaluators.RingVcoAnalyticalEvaluator`)
-  evaluate the whole population in numpy; problems without a native batch
-  path fall back to the serial loop transparently.
+  implement array-in/array-out evaluation (the VCO sizing problem backed by
+  :class:`~repro.circuits.evaluators.RingVcoAnalyticalEvaluator`, the
+  behavioural PLL system problem with its lane-parallel transient)
+  evaluate the whole population as array math; problems without a native
+  batch path fall back to the serial loop transparently.
 * :class:`ProcessPoolEvaluator` -- fans the vectors out over a
-  ``concurrent.futures`` process pool.  Useful for expensive scalar
-  evaluations (the transistor-level SPICE test bench, the behavioural PLL
-  transient) that cannot be expressed as numpy array math.  The problem
-  must be picklable; results are identical to the serial backend because
-  the exact same scalar code runs in every worker.
+  ``concurrent.futures`` process pool.  Useful for expensive evaluations
+  that are not array math (the transistor-level SPICE test bench).  The
+  problem must be picklable; results are identical to the serial backend
+  because the exact same code runs in every worker.
+
+The array kernels compute every row independently of the others, so one
+row evaluated alone equals the same row inside a batch, bit for bit: all
+three backends give identical results for a fixed seed (same arithmetic,
+same seeded RNG stream).
 
 Pick a backend by name through :attr:`NSGA2Config.evaluator`
 (``"serial"``, ``"vectorised"`` or ``"process"``) or inject a custom
@@ -56,7 +59,7 @@ __all__ = [
 ]
 
 #: Backend names accepted by ``NSGA2Config.evaluator`` / :func:`create_evaluator`.
-EVALUATOR_CHOICES = ("serial", "vectorised", "vectorized", "process")
+EVALUATOR_CHOICES = ("serial", "vectorised", "process")
 
 
 def default_worker_count() -> int:
@@ -291,8 +294,8 @@ def create_evaluator(
     Parameters
     ----------
     name:
-        One of :data:`EVALUATOR_CHOICES` (``"serial"``, ``"vectorised"`` /
-        ``"vectorized"``, ``"process"``); case-insensitive.
+        One of :data:`EVALUATOR_CHOICES` (``"serial"``, ``"vectorised"``,
+        ``"process"``); case-insensitive.
     n_workers:
         Pool size for the ``"process"`` backend (ignored otherwise);
         defaults to :func:`default_worker_count`.
@@ -310,7 +313,7 @@ def create_evaluator(
     key = (name or "serial").lower()
     if key == "serial":
         return SerialEvaluator()
-    if key in ("vectorised", "vectorized"):
+    if key == "vectorised":
         return VectorisedEvaluator()
     if key == "process":
         return ProcessPoolEvaluator(n_workers=n_workers)

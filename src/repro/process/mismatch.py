@@ -79,6 +79,16 @@ class MismatchBatch:
         """A batch of ``n_samples`` samples without mismatch."""
         return cls(devices=(), vth0=np.zeros((n_samples, 0)), u0_rel=np.zeros((n_samples, 0)))
 
+    @classmethod
+    def from_sample(cls, sample: MismatchSample) -> "MismatchBatch":
+        """One-row batch of ``sample``; a device lacking a key gets an exact 0.0 delta."""
+        devices = tuple(sample.deltas)
+        return cls(
+            devices=devices,
+            vth0=np.array([[sample.deltas[name].get("vth0", 0.0) for name in devices]]),
+            u0_rel=np.array([[sample.deltas[name].get("u0_rel", 0.0) for name in devices]]),
+        )
+
     def __len__(self) -> int:
         return self.vth0.shape[0]
 

@@ -57,13 +57,12 @@ def _validate_samples(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarra
         # Collapse duplicates and near-duplicates (closer than a relative
         # epsilon of the sampled span) by averaging their ordinates,
         # otherwise the tridiagonal spline system becomes singular or
-        # numerically explosive.
+        # numerically explosive.  All-identical abscissae collapse to one
+        # averaged point: a constant, like any one-point table.
         span = float(x_arr[-1] - x_arr[0])
         tolerance = max(span * 1e-12, 1e-300)
         groups = np.concatenate(([0], np.cumsum(np.diff(x_arr) > tolerance)))
         n_groups = int(groups[-1]) + 1
-        if n_groups < 2 and x_arr.size >= 2:
-            raise InterpolationError("all sample abscissae are identical")
         if n_groups != x_arr.size:
             sums_x = np.zeros(n_groups)
             sums_y = np.zeros(n_groups)

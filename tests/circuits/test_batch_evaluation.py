@@ -1,8 +1,9 @@
-"""Tests for the vectorised batch path of the analytical VCO evaluator.
+"""Tests for the batch evaluation of the analytical VCO evaluator.
 
-The contract under test is strict: ``evaluate_batch`` is a transcription
-of the scalar first-order model to numpy with identical operation order,
-so every comparison here is *bitwise* (``==`` on floats), not approximate.
+The contract under test is strict: ``evaluate_batch`` computes the
+first-order model as numpy array math with the operation order of the
+scalar oracle (``tests/circuits/scalar_model.py``), so every comparison
+here is *bitwise* (``==`` on floats), not approximate.
 """
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from repro.circuits import RingVcoAnalyticalEvaluator, VcoDesign, vco_device_geometries
 from repro.process import TECH_012UM, MonteCarloEngine
+
+from tests.circuits.scalar_model import monte_carlo_loop, scalar_evaluate
 
 
 def random_design(rng) -> VcoDesign:
@@ -35,13 +38,14 @@ def test_batch_over_designs_matches_scalar(evaluator):
     batch = evaluator.evaluate_batch(designs)
     assert len(batch) == 30
     for design, performance in zip(designs, batch):
-        assert performance.as_dict() == evaluator.evaluate(design).as_dict()
+        assert performance.as_dict() == scalar_evaluate(evaluator, design).as_dict()
 
 
 def test_batch_single_design_matches_scalar(evaluator):
     design = VcoDesign()
     (performance,) = evaluator.evaluate_batch([design])
-    assert performance.as_dict() == evaluator.evaluate(design).as_dict()
+    assert performance.as_dict() == scalar_evaluate(evaluator, design).as_dict()
+    assert evaluator.evaluate(design).as_dict() == performance.as_dict()
 
 
 def test_batch_over_technologies_matches_scalar(evaluator):
@@ -51,7 +55,7 @@ def test_batch_over_technologies_matches_scalar(evaluator):
     design = VcoDesign()
     batch = evaluator.evaluate_batch([design], samples=samples)
     for sample, performance in zip(samples, batch):
-        scalar = evaluator.evaluate(design, technology=sample.technology)
+        scalar = scalar_evaluate(evaluator, design, technology=sample.technology)
         assert performance.as_dict() == scalar.as_dict()
 
 
@@ -63,7 +67,7 @@ def test_batch_with_mismatch_matches_scalar(evaluator):
     ).sample_batch(devices)
     batch = evaluator.evaluate_batch([design], samples=samples)
     for sample, performance in zip(samples, batch):
-        scalar = evaluator.evaluate(design, mismatch=sample.mismatch)
+        scalar = scalar_evaluate(evaluator, design, mismatch=sample.mismatch)
         assert performance.as_dict() == scalar.as_dict()
 
 
@@ -79,12 +83,11 @@ def test_monte_carlo_batch_adapter_matches_serial_engine(evaluator):
     design = VcoDesign()
     devices = vco_device_geometries(design)
     engine = MonteCarloEngine(TECH_012UM, n_samples=40, seed=2009)
-    serial = engine.run(evaluator.monte_carlo_evaluator(design), devices=devices)
-    batch = engine.run_batch(
-        evaluator.monte_carlo_batch_evaluator(design), devices=devices
+    batch = engine.run(evaluator.monte_carlo_batch_evaluator(design), devices=devices)
+    assert batch.performances == monte_carlo_loop(
+        evaluator, design, engine.sample_batch(devices)
     )
-    assert serial.performances == batch.performances
-    assert serial.nominal == batch.nominal
+    assert batch.nominal == scalar_evaluate(evaluator, design).as_dict()
 
 
 def test_base_class_batch_fallback_loops_scalar(evaluator):

@@ -1,11 +1,13 @@
-"""Regression properties: scalar ``evaluate`` == vectorised ``evaluate_batch``, bit for bit.
+"""Regression properties of the analytical kernel, bit for bit.
 
 Random designs (inside and outside the design rules) under random Monte
-Carlo batches, for both analytical topologies.  The vectorised kernel
-reads the batch's model-card and mismatch columns; the scalar model
-evaluates each materialised sample.  Python's ``x**2`` (C ``pow``) and
-numpy's ``x*x`` can round differently, which is the kind of divergence
-these comparisons catch.
+Carlo batches, for both analytical topologies.  The kernel reads the
+batch's model-card and mismatch columns; the scalar oracle
+(``tests/circuits/scalar_model.py``) evaluates each materialised sample.
+Python's ``x**2`` (C ``pow``) and numpy's ``x*x`` can round differently,
+which is the kind of divergence these comparisons catch.  The serial
+backend evaluates one row per call, so every row must also equal itself
+inside any larger batch.
 """
 
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from repro.circuits.pseudodiff import (
     pseudodiff_device_geometries,
 )
 from repro.process import TECH_012UM, TECH_065NM, MonteCarloEngine
+
+from tests.circuits.scalar_model import monte_carlo_loop, scalar_evaluate
 
 TOPOLOGIES = {
     "ring": (RingVcoAnalyticalEvaluator, VcoDesign, vco_device_geometries),
@@ -68,8 +72,12 @@ def test_evaluate_batch_equals_scalar_evaluate_per_sample(case):
     batch = evaluator.evaluate_batch([design], samples=samples)
     assert len(batch) == len(samples)
     for sample, performance in zip(samples, batch):
-        scalar = evaluator.evaluate(design, technology=sample.technology, mismatch=sample.mismatch)
+        scalar = scalar_evaluate(evaluator, design, sample.technology, sample.mismatch)
         assert performance.as_dict() == scalar.as_dict()
+        one_row = evaluator.evaluate(
+            design, technology=sample.technology, mismatch=sample.mismatch
+        )
+        assert one_row.as_dict() == scalar.as_dict()
 
 
 @settings(max_examples=50, deadline=None)
@@ -78,9 +86,8 @@ def test_monte_carlo_adapters_agree(case):
     evaluator, design, samples = case
     batch = evaluator.monte_carlo_batch_evaluator(design)(samples)
     generic = VcoEvaluator.evaluate_batch(evaluator, [design], samples=samples)
-    scalar = evaluator.monte_carlo_evaluator(design)
     assert batch == [performance.as_dict() for performance in generic]
-    assert batch == [scalar(sample.technology, sample.mismatch) for sample in samples]
+    assert batch == monte_carlo_loop(evaluator, design, samples)
 
 
 @settings(max_examples=50, deadline=None)
@@ -91,10 +98,27 @@ def test_one_sample_broadcasts_against_many_designs(case, n_designs, data):
     designs = [_design(evaluator.design_cls, data.draw) for _ in range(n_designs)]
     batch = evaluator.evaluate_batch(designs, samples=sample)
     for design, performance in zip(designs, batch):
-        scalar = evaluator.evaluate(
-            design, technology=sample[0].technology, mismatch=sample[0].mismatch
+        scalar = scalar_evaluate(
+            evaluator, design, sample[0].technology, sample[0].mismatch
         )
         assert performance.as_dict() == scalar.as_dict()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases(), n_designs=st.integers(2, 6), data=st.data())
+def test_rows_are_independent_of_their_batch(case, n_designs, data):
+    """Row i of a batch == the same row evaluated alone, for designs and samples."""
+    evaluator, design, samples = case
+    designs = [_design(evaluator.design_cls, data.draw) for _ in range(n_designs)]
+    technology = samples.technology
+    batch = evaluator.evaluate_batch(designs, technology=technology)
+    for i, performance in enumerate(batch):
+        (alone,) = evaluator.evaluate_batch([designs[i]], technology=technology)
+        assert performance.as_dict() == alone.as_dict()
+    batch = evaluator.evaluate_batch([design], samples=samples)
+    for i, performance in enumerate(batch):
+        (alone,) = evaluator.evaluate_batch([design], samples=samples[i : i + 1])
+        assert performance.as_dict() == alone.as_dict()
 
 
 def test_jitter_squares_round_like_the_kernel():
@@ -106,5 +130,7 @@ def test_jitter_squares_round_like_the_kernel():
     )
     sample = samples[20]
     (performance,) = evaluator.evaluate_batch([design], samples=samples[20:])
-    scalar = evaluator.evaluate(design, technology=sample.technology, mismatch=sample.mismatch)
+    scalar = scalar_evaluate(evaluator, design, sample.technology, sample.mismatch)
     assert performance.jitter == scalar.jitter
+    one_row = evaluator.evaluate(design, technology=sample.technology, mismatch=sample.mismatch)
+    assert one_row.jitter == scalar.jitter

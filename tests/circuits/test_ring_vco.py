@@ -15,6 +15,8 @@ from repro.circuits.ring_vco import N_STAGES
 from repro.process import MonteCarloEngine, TECH_012UM
 from repro.spice import MOSFET, Capacitor, VoltageSource
 
+from tests.circuits.scalar_model import monte_carlo_loop
+
 
 # -- design point -------------------------------------------------------------------------
 
@@ -143,9 +145,11 @@ def test_analytical_jitter_decreases_with_current(evaluator):
 
 def test_analytical_mismatch_changes_jitter(evaluator):
     design = VcoDesign()
+    devices = vco_device_geometries(design)
     engine = MonteCarloEngine(TECH_012UM, n_samples=10, seed=1)
-    result = engine.run(
-        evaluator.monte_carlo_evaluator(design), devices=vco_device_geometries(design)
+    result = engine.run(evaluator.monte_carlo_batch_evaluator(design), devices=devices)
+    assert result.performances == monte_carlo_loop(
+        evaluator, design, engine.sample_batch(devices)
     )
     jitters = result.values("jitter")
     assert np.std(jitters) > 0.0
@@ -157,7 +161,7 @@ def test_analytical_variation_shape_matches_paper(evaluator):
     design = VcoDesign()
     engine = MonteCarloEngine(TECH_012UM, n_samples=40, seed=2)
     result = engine.run(
-        evaluator.monte_carlo_evaluator(design), devices=vco_device_geometries(design)
+        evaluator.monte_carlo_batch_evaluator(design), devices=vco_device_geometries(design)
     )
     spreads = result.spreads()
     assert spreads["jitter"].spread_percent > 3.0 * spreads["current"].spread_percent

@@ -2,17 +2,23 @@
 
 The vectorised backend must reproduce the serial system-level results
 bit-for-bit: same objectives, same constraints, same Table-2 metrics,
-same selected design, same yield samples.
+same selected design.  The yield analysis must reproduce a per-sample
+loop of the scalar oracle, sample for sample.
 """
 
 import numpy as np
 import pytest
 
+from repro.behavioural.pll import PllDesign
+from repro.circuits import vco_device_geometries
 from repro.core.flow import HierarchicalFlow
 from repro.core.system_stage import PllSystemProblem, SystemLevelOptimisation
 from repro.core.yield_analysis import YieldAnalysis
 from repro.optim import NSGA2, NSGA2Config
 from repro.optim.individual import parameters_matrix
+from repro.process import MonteCarloEngine
+
+from tests.circuits.scalar_model import yield_loop
 
 
 @pytest.fixture(scope="module")
@@ -117,17 +123,19 @@ def test_yield_analysis_batch_matches_serial(combined_model, analytical_evaluato
         "c2": 0.6e-12,
         "r1": 2e3,
     }
-    serial = YieldAnalysis(
+    analysis = YieldAnalysis(
         combined_model, evaluator=analytical_evaluator, n_samples=40, seed=3,
-        simulation_time=2e-6, use_batch=False,
-    ).run(selected)
-    batched = YieldAnalysis(
-        combined_model, evaluator=analytical_evaluator, n_samples=40, seed=3,
-        simulation_time=2e-6, use_batch=True,
-    ).run(selected)
-    assert serial.system_samples == batched.system_samples
-    assert serial.yield_fraction == batched.yield_fraction
-    assert serial.violations == batched.violations
+        simulation_time=2e-6,
+    )
+    batched = analysis.run(selected)
+    vco_design = combined_model.design_parameters_for(selected["kvco"], selected["ivco"])
+    pll_design = PllDesign(c1=selected["c1"], c2=selected["c2"], r1=selected["r1"])
+    samples = MonteCarloEngine(analytical_evaluator.technology, n_samples=40, seed=3).sample_batch(
+        vco_device_geometries(vco_design)
+    )
+    assert batched.system_samples == yield_loop(analysis, vco_design, pll_design, samples)
+    passing = sum(not analysis.specifications.violations(s) for s in batched.system_samples)
+    assert batched.yield_fraction == passing / 40
 
 
 # -- flow plumbing ---------------------------------------------------------------------
@@ -137,7 +145,6 @@ def test_flow_vectorised_reaches_system_stage(analytical_evaluator):
     flow = HierarchicalFlow(evaluator=analytical_evaluator, evaluation="vectorised")
     assert flow.circuit_config.evaluator == "vectorised"
     assert flow.system_config.evaluator == "vectorised"
-    assert flow._use_batch_mc
 
 
 def test_flow_worker_count_sizes_spice_pool():

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.circuits.evaluators import VcoEvaluator
 from repro.core.corner_sweep import CornerSweepAnalysis, CornerSweepReport
 from repro.core.flow import HierarchicalFlow
 from repro.experiments.cache import ArtefactCache
@@ -37,8 +38,12 @@ class StubCircuit:
         self.designs = designs
 
 
-class StubEvaluator:
-    """Replays a (corner x design) table of performances in sweep order."""
+class StubEvaluator(VcoEvaluator):
+    """Replays a (corner x design) table of performances in sweep order.
+
+    Only ``evaluate`` is stubbed; the interface's generic ``evaluate_batch``
+    loops it, one design after the other.
+    """
 
     def __init__(self, table):
         # table[corner_index][design_index] -> StubPerformance

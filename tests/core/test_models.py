@@ -130,6 +130,17 @@ def test_variation_model_validation():
         VariationModel(np.zeros((2, 5)), np.zeros((2, 5)), performance_names=["a"])
 
 
+def test_variation_model_with_two_identical_nominal_rows():
+    """A front of two points with equal performances gives constant tables of the mean."""
+    nominal = np.array([[1e9, 2e-13, 5e-3, 4e8, 1.2e9]] * 2)
+    spreads = np.array([[1.0, 20.0, 2.0, 3.0, 4.0], [3.0, 40.0, 4.0, 5.0, 6.0]])
+    model = VariationModel(nominal, spreads)
+    for j, name in enumerate(model.performance_names):
+        mean = float(np.mean(spreads[:, j]))
+        assert model.spread(name, nominal[0, j]) == pytest.approx(mean)
+        assert model.spread(name, 2.0 * nominal[0, j]) == pytest.approx(mean)
+
+
 def test_variation_model_as_variation_tables(combined_model):
     tables = combined_model.variation.as_variation_tables()
     kvco = float(combined_model.variation.nominal_column("kvco")[0])

@@ -280,11 +280,15 @@ def test_run_and_report_in_process(tmp_path, capsys):
     assert set(payload["stages_present"]) >= {"circuit", "system"}
 
 
-def test_run_accepts_both_vectorised_spellings(tmp_path, capsys):
-    # The API's EVALUATOR_CHOICES accepts both spellings; so must the CLI.
+def test_run_evaluation_choices_follow_the_api(tmp_path, capsys):
+    # The CLI offers exactly the API's EVALUATOR_CHOICES.
+    for command in ("run", "submit"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "fast-smoke", "--evaluation", "vectorized"])
+    assert "invalid choice" in capsys.readouterr().err
     code = cli.main(
         [
-            "run", "fast-smoke", "--evaluation", "vectorized",
+            "run", "fast-smoke", "--evaluation", "vectorised",
             "--cache-dir", str(tmp_path), "--seed", "97",
         ]
     )

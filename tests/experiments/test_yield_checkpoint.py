@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.behavioural.pll import PllDesign
+from repro.circuits import vco_device_geometries
 from repro.core.yield_analysis import YieldAnalysis
 from repro.experiments.cache import CacheEntry
 from repro.experiments.runner import ExperimentRunner, _StagePartial
+from repro.process import MonteCarloEngine
 
+from tests.circuits.scalar_model import yield_loop
 from tests.experiments.test_runner import TINY, assert_bit_identical
 
 
@@ -57,50 +61,77 @@ def selected(combined_model):
     }
 
 
-def analysis(combined_model, analytical_evaluator, use_batch):
+def analysis(combined_model, analytical_evaluator):
     return YieldAnalysis(
         combined_model,
         evaluator=analytical_evaluator,
         n_samples=23,
         seed=5,
         simulation_time=2e-6,
-        use_batch=use_batch,
     )
 
 
-@pytest.mark.parametrize("use_batch", [False, True])
-def test_chunked_equals_unchunked(combined_model, analytical_evaluator, selected, use_batch):
+def expected_samples(whole, combined_model, analytical_evaluator, selected, scalar_reference):
+    """The system samples a yield run must reproduce: those of the unchunked
+    batch run ``whole`` or, with ``scalar_reference``, those of the per-sample
+    scalar oracle loop over the same Monte Carlo draw."""
+    if not scalar_reference:
+        return whole.system_samples
+    engine = MonteCarloEngine(analytical_evaluator.technology, n_samples=23, seed=5)
+    vco_design = whole.vco_design
+    pll_design = PllDesign(c1=selected["c1"], c2=selected["c2"], r1=selected["r1"])
+    return yield_loop(
+        analysis(combined_model, analytical_evaluator),
+        vco_design,
+        pll_design,
+        engine.sample_batch(vco_device_geometries(vco_design)),
+    )
+
+
+@pytest.mark.parametrize("scalar_reference", [False, True])
+def test_chunked_equals_unchunked(
+    combined_model, analytical_evaluator, selected, scalar_reference
+):
     """Every sample is independent, so the batch size cannot change results."""
-    whole = analysis(combined_model, analytical_evaluator, use_batch).run(selected)
-    chunked = analysis(combined_model, analytical_evaluator, use_batch).run(
-        selected, batch_size=5
-    )
+    whole = analysis(combined_model, analytical_evaluator).run(selected)
+    chunked = analysis(combined_model, analytical_evaluator).run(selected, batch_size=5)
     assert whole.system_samples == chunked.system_samples  # exact float equality
     assert whole.yield_fraction == chunked.yield_fraction
     assert whole.violations == chunked.violations
+    # One sample per batch agrees as well, and all match the reference.
+    one_at_a_time = analysis(combined_model, analytical_evaluator).run(selected, batch_size=1)
+    assert one_at_a_time.system_samples == whole.system_samples
+    expected = expected_samples(
+        whole, combined_model, analytical_evaluator, selected, scalar_reference
+    )
+    assert whole.system_samples == expected
+    assert chunked.system_samples == expected
 
 
-@pytest.mark.parametrize("use_batch", [False, True])
+@pytest.mark.parametrize("scalar_reference", [False, True])
 def test_interrupted_yield_resumes_bit_identically(
-    combined_model, analytical_evaluator, selected, use_batch
+    combined_model, analytical_evaluator, selected, scalar_reference
 ):
-    full = analysis(combined_model, analytical_evaluator, use_batch).run(selected)
+    full = analysis(combined_model, analytical_evaluator).run(selected)
 
     crashing = InterruptingCheckpoint(fail_after=2)
     with pytest.raises(KeyboardInterrupt):
-        analysis(combined_model, analytical_evaluator, use_batch).run(
+        analysis(combined_model, analytical_evaluator).run(
             selected, checkpoint=crashing, batch_size=5
         )
     assert len(crashing.state["samples"]) == 10  # two persisted batches of 5
 
     resumed_checkpoint = MemoryCheckpoint()
     resumed_checkpoint.state = crashing.state
-    resumed = analysis(combined_model, analytical_evaluator, use_batch).run(
+    resumed = analysis(combined_model, analytical_evaluator).run(
         selected, checkpoint=resumed_checkpoint, batch_size=5
     )
     # Bit-identical to the uninterrupted run, and genuinely resumed: only
     # the remaining 13 samples (3 batches, final one not persisted) ran.
     assert resumed.system_samples == full.system_samples
+    assert resumed.system_samples == expected_samples(
+        full, combined_model, analytical_evaluator, selected, scalar_reference
+    )
     assert resumed.yield_fraction == full.yield_fraction
     assert resumed.violations == full.violations
     assert resumed_checkpoint.stores == 2
@@ -109,13 +140,13 @@ def test_interrupted_yield_resumes_bit_identically(
 
 def test_stale_checkpoint_is_discarded(combined_model, analytical_evaluator, selected):
     """A partial written for different settings must not poison the run."""
-    full = analysis(combined_model, analytical_evaluator, False).run(selected)
+    full = analysis(combined_model, analytical_evaluator).run(selected)
     stale = MemoryCheckpoint()
     stale.state = {
         "fingerprint": {"n_samples": 999, "seed": 0, "selected": {}},
         "samples": [{"lock_time": 0.0, "jitter": 0.0, "current": 0.0}],
     }
-    report = analysis(combined_model, analytical_evaluator, False).run(
+    report = analysis(combined_model, analytical_evaluator).run(
         selected, checkpoint=stale, batch_size=5
     )
     assert report.system_samples == full.system_samples

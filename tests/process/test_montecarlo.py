@@ -23,6 +23,11 @@ def _evaluator(technology, mismatch):
     return {"speed": u0 / vth, "offset": delta * 1e3, "constant": 42.0}
 
 
+def _batch_evaluator(samples):
+    """The engine's evaluator form: one result dict per sample of a batch."""
+    return [_evaluator(sample.technology, sample.mismatch) for sample in samples]
+
+
 # -- statistics helpers ---------------------------------------------------------------
 
 
@@ -113,33 +118,34 @@ def test_engine_reproducible_with_seed():
     devices = [DeviceGeometry("m1", 10e-6, 0.12e-6)]
     engine_a = MonteCarloEngine(TECH_012UM, n_samples=20, seed=3)
     engine_b = MonteCarloEngine(TECH_012UM, n_samples=20, seed=3)
-    result_a = engine_a.run(_evaluator, devices=devices)
-    result_b = engine_b.run(_evaluator, devices=devices)
+    result_a = engine_a.run(_batch_evaluator, devices=devices)
+    result_b = engine_b.run(_batch_evaluator, devices=devices)
     assert np.allclose(result_a.values("speed"), result_b.values("speed"))
     assert np.allclose(result_a.values("offset"), result_b.values("offset"))
 
 
 def test_engine_different_seeds_differ():
-    result_a = MonteCarloEngine(TECH_012UM, n_samples=10, seed=1).run(_evaluator)
-    result_b = MonteCarloEngine(TECH_012UM, n_samples=10, seed=2).run(_evaluator)
+    result_a = MonteCarloEngine(TECH_012UM, n_samples=10, seed=1).run(_batch_evaluator)
+    result_b = MonteCarloEngine(TECH_012UM, n_samples=10, seed=2).run(_batch_evaluator)
     assert not np.allclose(result_a.values("speed"), result_b.values("speed"))
 
 
 def test_engine_produces_requested_sample_count():
-    result = MonteCarloEngine(TECH_012UM, n_samples=17, seed=5).run(_evaluator)
+    result = MonteCarloEngine(TECH_012UM, n_samples=17, seed=5).run(_batch_evaluator)
     assert result.n_samples == 17
     assert set(result.performance_names) == {"speed", "offset", "constant"}
 
 
 def test_engine_nominal_computed_when_not_given():
-    result = MonteCarloEngine(TECH_012UM, n_samples=5, seed=6).run(_evaluator)
+    result = MonteCarloEngine(TECH_012UM, n_samples=5, seed=6).run(_batch_evaluator)
     expected = _evaluator(TECH_012UM, MismatchSample())
     assert result.nominal["speed"] == pytest.approx(expected["speed"])
 
 
 def test_engine_spreads_and_yield():
     devices = [DeviceGeometry("m1", 10e-6, 0.12e-6)]
-    result = MonteCarloEngine(TECH_012UM, n_samples=200, seed=7).run(_evaluator, devices=devices)
+    engine = MonteCarloEngine(TECH_012UM, n_samples=200, seed=7)
+    result = engine.run(_batch_evaluator, devices=devices)
     spreads = result.spreads()
     assert spreads["speed"].spread_percent > 0.5
     assert spreads["constant"].spread_percent == 0.0
@@ -149,20 +155,20 @@ def test_engine_spreads_and_yield():
 
 
 def test_engine_without_mismatch_devices_has_zero_offset():
-    result = MonteCarloEngine(TECH_012UM, n_samples=10, seed=8).run(_evaluator)
+    result = MonteCarloEngine(TECH_012UM, n_samples=10, seed=8).run(_batch_evaluator)
     assert np.allclose(result.values("offset"), 0.0)
 
 
 def test_engine_disable_global_variation():
     engine = MonteCarloEngine(TECH_012UM, n_samples=10, seed=9, include_global=False)
-    result = engine.run(_evaluator)
+    result = engine.run(_batch_evaluator)
     assert np.allclose(result.values("speed"), result.nominal["speed"])
 
 
 def test_engine_empty_evaluator_result_raises():
     engine = MonteCarloEngine(TECH_012UM, n_samples=2, seed=10)
     with pytest.raises(ValueError):
-        engine.run(lambda tech, mm: {})
+        engine.run(lambda samples: [{} for _ in samples])
 
 
 def test_engine_samples_iterator_is_reproducible():
@@ -176,25 +182,25 @@ def test_engine_samples_iterator_is_reproducible():
 # -- batch evaluation path ---------------------------------------------------------------
 
 
-def _batch_evaluator(samples):
-    """Batch counterpart of ``_evaluator`` (one result dict per sample)."""
-    return [_evaluator(sample.technology, sample.mismatch) for sample in samples]
+def _per_sample_loop(engine, devices=()):
+    """Oracle: the toy evaluator on each sample the engine streams, one at a time."""
+    return [_evaluator(sample.technology, sample.mismatch) for sample in engine.samples(devices)]
 
 
 def test_run_batch_matches_run_bitwise():
+    # ``run_batch`` is kept as a second name of ``run``.
+    assert MonteCarloEngine.run_batch is MonteCarloEngine.run
     devices = [DeviceGeometry("m1", 10e-6, 0.12e-6)]
     engine = MonteCarloEngine(TECH_012UM, n_samples=50, seed=21)
-    serial = engine.run(_evaluator, devices=devices)
     batch = engine.run_batch(_batch_evaluator, devices=devices)
-    assert serial.performances == batch.performances
-    assert serial.nominal == batch.nominal
+    assert batch.performances == _per_sample_loop(engine, devices)
+    assert batch.nominal == _evaluator(TECH_012UM, MismatchSample())
 
 
 def test_run_batch_without_devices_matches_run():
     engine = MonteCarloEngine(TECH_012UM, n_samples=12, seed=22)
-    serial = engine.run(_evaluator)
     batch = engine.run_batch(_batch_evaluator)
-    assert serial.performances == batch.performances
+    assert batch.performances == _per_sample_loop(engine)
 
 
 def test_run_batch_honours_given_nominal():

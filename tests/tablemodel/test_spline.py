@@ -123,9 +123,13 @@ def test_non_finite_samples_raise():
         CubicSpline1D([0.0, np.nan], [1.0, 2.0])
 
 
-def test_all_identical_abscissae_raise():
-    with pytest.raises(InterpolationError):
-        LinearInterpolator1D([1.0, 1.0], [0.0, 2.0])
+def test_all_identical_abscissae_collapse_to_constant():
+    # One averaged point, like any one-point table: a constant at the mean.
+    for cls in (LinearInterpolator1D, QuadraticSpline1D, CubicSpline1D):
+        interp = cls([1.0, 1.0, 1.0], [0.0, 2.0, 7.0])
+        assert interp.n_samples == 1
+        for value in (-5.0, 1.0, 3.0):
+            assert interp(value) == pytest.approx(3.0)
 
 
 def test_make_interpolator_dispatch():
