@@ -628,10 +628,8 @@ def _evaluate_spice_chunk(
     evaluator = _SPICE_WORKER_EVALUATOR
     if evaluator is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process was not initialised with an evaluator")
-    name = "spice.lane_chunk" if evaluator.engine == "lanes" else "spice.chunk"
     with obs_trace.collect_spans(context) as spans:
-        with obs_trace.span(name, chunk=chunk_index, n_tasks=len(tasks)):
-            results = evaluator.evaluate_chunk(tasks)
+        results = evaluator.evaluate_chunk(tasks, chunk_index)
     return results, spans
 
 
@@ -748,7 +746,11 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         chunks = [tasks[start : start + chunksize] for start in range(0, n_tasks, chunksize)]
         n_workers = min(self.pool_size(), len(chunks))
         if n_workers < 2:
-            return [result for chunk in chunks for result in self.evaluate_chunk(chunk)]
+            return [
+                result
+                for index, chunk in enumerate(chunks)
+                for result in self.evaluate_chunk(chunk, index)
+            ]
         with obs_trace.span(
             "spice.evaluate_batch", n_tasks=n_tasks, n_workers=n_workers, n_chunks=len(chunks)
         ):
@@ -768,20 +770,34 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
                 return results
 
     def evaluate_chunk(
-        self, tasks: Sequence[Tuple[VcoDesign, Technology, MismatchSample]]
+        self,
+        tasks: Sequence[Tuple[VcoDesign, Technology, MismatchSample]],
+        chunk_index: int = 0,
     ) -> List[VcoPerformance]:
         """Evaluate one chunk of tasks: one lane-parallel transient for the
-        ``lanes`` engine, the scalar :meth:`evaluate` loop otherwise."""
-        if self.engine != "lanes":
-            return [
-                self.evaluate(design, technology=tech, mismatch=mismatch)
+        ``lanes`` engine, the scalar :meth:`evaluate` loop otherwise.
+
+        The chunk runs inside a ``spice.lane_chunk`` (``lanes``) or
+        ``spice.chunk`` span, in a pool worker or in-process alike.  A lane
+        chunk's span carries its numerical health as attributes:
+        ``newton_iterations``, ``step_halvings`` and ``lanes_failed``.
+        """
+        name = "spice.lane_chunk" if self.engine == "lanes" else "spice.chunk"
+        with obs_trace.span(name, chunk=chunk_index, n_tasks=len(tasks)) as attrs:
+            if self.engine != "lanes":
+                return [
+                    self.evaluate(design, technology=tech, mismatch=mismatch)
+                    for design, tech, mismatch in tasks
+                ]
+            prepared = [
+                (design.clamped(tech), tech, _device_overrides(mismatch))
                 for design, tech, mismatch in tasks
             ]
-        prepared = [
-            (design.clamped(tech), tech, _device_overrides(mismatch))
-            for design, tech, mismatch in tasks
-        ]
-        return self._testbench(self.technology).run_batch(prepared)
+            bench = self._testbench(self.technology)
+            results = bench.run_batch(prepared)
+            if attrs is not None:
+                attrs.update(bench.health)
+            return results
 
     def pool_size(self) -> int:
         """Worker count of the batch pool (configured or the shared default)."""

@@ -81,6 +81,8 @@ class VcoTestbench:
         self.dt = dt
         self.max_sim_time = max_sim_time
         self.engine = engine
+        #: Numerical health of the last :meth:`run_batch` (see there).
+        self.health: Dict[str, int] = {}
 
     # -- shared transient set-up ------------------------------------------------------
 
@@ -239,6 +241,8 @@ class VcoTestbench:
         through one time-marching loop with a batched Jacobian.  All tasks
         must share the ring topology (they do by construction: designs,
         technologies and mismatch overrides only change parameter values).
+        Afterwards ``self.health`` holds the batch's numerical health (see
+        :attr:`LaneTransientAnalysis.health`).
         """
         if not tasks:
             return []
@@ -254,16 +258,22 @@ class VcoTestbench:
                     self._build_circuit(design, tech, vctrl, device_overrides=overrides)
                 )
                 initial_conditions.append(self._kick_conditions(tech.vdd))
+        analysis = None
         try:
-            results: List[Optional[TransientResult]] = LaneTransientAnalysis(
+            analysis = LaneTransientAnalysis(
                 circuits,
                 t_stop=self._t_stop(),
                 dt=self.dt,
                 initial_conditions=initial_conditions,
                 use_dc_start=False,
-            ).run()
+            )
+            results: List[Optional[TransientResult]] = analysis.run()
         except (ConvergenceError, AnalysisError):
             results = [None] * len(circuits)
+        self.health = {
+            **(analysis.health if analysis is not None else {}),
+            "lanes_failed": sum(result is None for result in results),
+        }
         performances = []
         for index, (design, tech, overrides) in enumerate(prepared):
             low = self._measure_result(results[2 * index], self.vctrl_min, tech.vdd)

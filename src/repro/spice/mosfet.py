@@ -34,6 +34,8 @@ __all__ = ["MOSFETModel", "MOSFET", "MOSFETArrays", "NMOS_DEFAULT", "PMOS_DEFAUL
 _BOLTZMANN = 1.380649e-23
 _ELECTRON_CHARGE = 1.602176634e-19
 _EPS_OX = 3.9 * 8.8541878128e-12
+#: (terminal, probe) pairs of the probe block: probe ``k + 1`` nudges terminal ``k``.
+_PROBE_INDEX = (np.arange(4), np.arange(1, 5))
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,11 @@ class MOSFETArrays:
     row of devices per lane, all lanes sharing the same topology, so that
     the whole ``(n_lanes, n_devices)`` block of drain currents and
     derivatives is evaluated with numpy ufuncs instead of per-device
-    Python.  The expressions transcribe :meth:`MOSFET._channel_current` /
+    Python.  The voltage arguments may carry extra leading axes: the
+    parameter matrices broadcast against them, which is how
+    :meth:`currents_and_derivatives` evaluates the bias and its four
+    probes in one ``(5, n_lanes, n_devices)`` pass.  The expressions
+    transcribe :meth:`MOSFET._channel_current` /
     :meth:`MOSFET.drain_current`; results are tolerance-equivalent (not
     bit-identical) to the scalar model because numpy's transcendentals may
     differ from libm by an ulp.
@@ -391,8 +397,7 @@ class MOSFETArrays:
         ratio = vov / self.n_vt
         # Clip before exponentiating so extreme lanes cannot overflow; the
         # np.where selections reproduce the scalar model's three branches.
-        ratio_clipped = np.clip(ratio, -745.0, 40.0)
-        exp_ratio = np.exp(ratio_clipped)
+        exp_ratio = np.exp(np.minimum(np.maximum(ratio, -745.0), 40.0))
         vov_eff = np.where(
             ratio > 40.0,
             vov,
@@ -418,19 +423,26 @@ class MOSFETArrays:
         ids = self._channel_current(nvg - vref, np.abs(nvd - nvs), nvb - vref)
         return np.where(forward, p * ids, -p * ids)
 
-    def currents_and_derivatives(
-        self, vd: np.ndarray, vg: np.ndarray, vs: np.ndarray, vb: np.ndarray
-    ):
+    def currents_and_derivatives(self, terminals: np.ndarray) -> np.ndarray:
         """Drain currents plus the four finite-difference derivatives.
 
-        Mirrors the ``delta = 1e-6`` finite differences of
-        :meth:`MOSFET.contribute` so the compiled Jacobian matches the
-        reference engine's linearisation.
+        ``terminals`` stacks the drain, gate, source and bulk voltages,
+        shape ``(4, n_lanes, n_devices)``.  Mirrors the ``delta = 1e-6``
+        finite differences of :meth:`MOSFET.contribute` so the compiled
+        Jacobian matches the reference engine's linearisation.  The bias
+        and the four probes (``+delta`` on the drain, gate, source and bulk
+        in turn) form one ``(5, n_lanes, n_devices)`` block per terminal,
+        evaluated by a single :meth:`drain_current` call; each derivative
+        is still ``(I(v + delta) - I(v)) / delta`` element by element, so
+        the result equals five separate calls bit for bit.
+
+        Returns one ``(5, n_lanes, n_devices)`` array: the currents, then
+        ``dI/dvd``, ``dI/dvg``, ``dI/dvs`` and ``dI/dvb``.
         """
         delta = 1e-6
-        ids = self.drain_current(vd, vg, vs, vb)
-        did_dvd = (self.drain_current(vd + delta, vg, vs, vb) - ids) / delta
-        did_dvg = (self.drain_current(vd, vg + delta, vs, vb) - ids) / delta
-        did_dvs = (self.drain_current(vd, vg, vs + delta, vb) - ids) / delta
-        did_dvb = (self.drain_current(vd, vg, vs, vb + delta) - ids) / delta
-        return ids, did_dvd, did_dvg, did_dvs, did_dvb
+        probes = np.repeat(terminals[:, None], 5, axis=1)
+        probes[_PROBE_INDEX] += delta
+        out = self.drain_current(*probes)
+        out[1:] -= out[0]
+        out[1:] /= delta
+        return out

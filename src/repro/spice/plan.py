@@ -12,9 +12,11 @@ assembly as vectorised scatter-adds into reused buffers:
   (design, technology, mismatch) triples that bottom-up verification fans
   out.
 * :class:`LaneSystem` owns the reused ``(n_lanes, n, n)`` Jacobian and
-  ``(n_lanes, n)`` residual buffers and assembles all lanes at once;
-  MOSFET and diode model equations are evaluated array-wise over every
-  (lane, device) pair via :class:`~repro.spice.mosfet.MOSFETArrays`.
+  ``(n_lanes, n)`` residual buffers (two views of one buffer) and
+  assembles all lanes at once; MOSFET and diode model equations are
+  evaluated array-wise over every (lane, device) pair via
+  :class:`~repro.spice.mosfet.MOSFETArrays`, and all their stamps land
+  with one scatter-add per Newton iteration.
 * :func:`lane_newton` / :func:`lane_dc_solve` mirror the reference
   Newton-Raphson semantics (damping, voltage-step limiting, gmin shunt,
   gmin/source-stepping homotopies) with per-lane convergence masks and one
@@ -261,14 +263,25 @@ class CircuitPlan:
             array = np.asarray(values, dtype=float)
             return array.T if array.size else array.reshape(self.n_lanes, 0)
 
-        # Capacitors (including expanded MOSFET gate capacitances).
+        # Stamp tables: ``(n_blocks, n_elements)`` offsets into one lane's
+        # row of a :class:`LaneSystem` buffer -- the flattened ``P x P``
+        # matrix followed by the ``P`` vector (``jac(i, j)``/``res(i)``).
+        def jac(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return i * P + j
+
+        def res(i: np.ndarray) -> np.ndarray:
+            return P * P + i
+
+        # Capacitors (including expanded MOSFET gate capacitances); blocks
+        # match ``[geq, geq, -geq, -geq, const, -const]`` in begin_tran.
         self.cap_a = as_index(cap_a)
         self.cap_b = as_index(cap_b)
         self.cap_c = as_params(cap_c)
         self.n_caps = self.cap_a.size
         a, b = self.cap_a, self.cap_b
-        self.cap_jac_idx = np.concatenate([a * P + a, b * P + b, a * P + b, b * P + a])
-        self.cap_res_rows = np.concatenate([a, b])
+        self.cap_stamps = np.stack(
+            [jac(a, a), jac(b, b), jac(a, b), jac(b, a), res(a), res(b)]
+        )
 
         # Inductors.
         self.ind_a = as_index(ind_a)
@@ -287,35 +300,33 @@ class CircuitPlan:
         self.is_res_rows = np.concatenate([self.is_a, self.is_b])
         self.n_isources = self.is_a.size
 
-        # Diodes.
+        # Diodes; blocks match ``[i, g, g, -i, -g, -g]`` in assemble.
         self.d_a = as_index(d_a)
         self.d_b = as_index(d_b)
         self.d_isat = as_params(d_isat)
         self.d_nvt = as_params(d_nvt)
         self.n_diodes = self.d_a.size
         a, b = self.d_a, self.d_b
-        self.d_jac_idx = np.concatenate([a * P + a, b * P + b, a * P + b, b * P + a])
-        self.d_res_rows = np.concatenate([a, b])
+        self.d_stamps = np.stack(
+            [res(a), jac(a, a), jac(b, b), res(b), jac(a, b), jac(b, a)]
+        )
 
-        # MOSFETs.
+        # MOSFETs: terminal rows (drain, gate, source, bulk); blocks match
+        # ``[ids, dI/dvd, dI/dvg, dI/dvs, dI/dvb]`` then their negations.
         self.n_mosfets = len(mos_nodes)
-        if self.n_mosfets:
-            nodes = np.asarray(mos_nodes, dtype=np.intp)
-            self.mos_d, self.mos_g, self.mos_s, self.mos_b = (nodes[:, i] for i in range(4))
-            self.mos_arrays = MOSFETArrays.from_devices(list(map(list, zip(*mos_devices))))
-            nd, ng, ns, nb = self.mos_d, self.mos_g, self.mos_s, self.mos_b
-            self.mos_jac_idx = np.concatenate(
-                [
-                    nd * P + nd, nd * P + ng, nd * P + ns, nd * P + nb,
-                    ns * P + nd, ns * P + ng, ns * P + ns, ns * P + nb,
-                ]
-            )
-            self.mos_res_rows = np.concatenate([nd, ns])
-        else:
-            self.mos_d = self.mos_g = self.mos_s = self.mos_b = as_index([])
-            self.mos_arrays = None
-            self.mos_jac_idx = as_index([])
-            self.mos_res_rows = as_index([])
+        self.mos_terminals = np.asarray(mos_nodes, dtype=np.intp).reshape(-1, 4).T.copy()
+        self.mos_arrays = (
+            MOSFETArrays.from_devices(list(map(list, zip(*mos_devices))))
+            if self.n_mosfets
+            else None
+        )
+        nd, ng, ns, nb = self.mos_terminals
+        self.mos_stamps = np.stack(
+            [
+                res(nd), jac(nd, nd), jac(nd, ng), jac(nd, ns), jac(nd, nb),
+                res(ns), jac(ns, nd), jac(ns, ng), jac(ns, ns), jac(ns, nb),
+            ]
+        )
 
     @staticmethod
     def _check_same_topology(base: Circuit, other: Circuit, lane: int) -> None:
@@ -356,26 +367,52 @@ class LaneSystem:
     step (static stamps, capacitor/inductor companion conductances, gmin)
     and ``n(x)`` holds only the diode and MOSFET channel contributions that
     must be re-evaluated each Newton iteration.
+
+    Each matrix/vector pair shares one ``(n_lanes, P * P + P)`` buffer
+    (``a_step``/``b_step`` and ``jacobian``/``residual`` are views of it),
+    so one flat index addresses both halves: :meth:`assemble` adds every
+    diode and MOSFET stamp with a single ``np.add.at`` and
+    :meth:`begin_tran` every capacitor companion stamp with another.  The
+    stamps are ordered block by block as the plan lists them, so each
+    entry receives its additions in the same order as one scatter per
+    element group and target would give, and the sums are bit-identical.
     """
 
     def __init__(self, plan: CircuitPlan) -> None:
         self.plan = plan
         L, P = plan.n_lanes, plan.pad_size
-        self.a_step = np.zeros((L, P, P))
-        self.b_step = np.zeros((L, P))
-        self.jacobian = np.zeros((L, P, P))
-        self.residual = np.zeros((L, P))
+        width = P * P + P
+        self._static = np.zeros((L, width))
+        self._static[:, : P * P] = plan.a_static.reshape(L, -1)
+        self._step = np.zeros((L, width))
+        self._system = np.zeros((L, width))
+        self.a_step, self.b_step = self._split(self._step)
+        self.jacobian, self.residual = self._split(self._system)
+        # Stamp offsets + lane offsets, flattened block by block:
+        # (n_blocks, n_lanes, n_elements) matches the stacked values.
+        lane_rows = np.arange(L)[:, None] * width
+        self._cap_index = (plan.cap_stamps[:, None, :] + lane_rows).ravel()
+        self._device_index = np.concatenate(
+            [
+                (plan.d_stamps[:, None, :] + lane_rows).ravel(),
+                (plan.mos_stamps[:, None, :] + lane_rows).ravel(),
+            ]
+        )
         self._lane = np.arange(L)[:, None]
         self._node_diag = np.arange(plan.n_nodes)
         self.analysis = "dc"
 
+    def _split(self, buffer: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(L, P, P)`` matrix and ``(L, P)`` vector views of a buffer."""
+        L, P = self.plan.n_lanes, self.plan.pad_size
+        return buffer[:, : P * P].reshape(L, P, P), buffer[:, P * P :]
+
     # -- per-step constant terms -----------------------------------------------------
 
     def _begin(self, gmin: float) -> None:
-        self.a_step[:] = self.plan.a_static
+        self._step[:] = self._static
         if gmin > 0.0:
             self.a_step[:, self._node_diag, self._node_diag] += gmin
-        self.b_step[:] = 0.0
 
     def begin_dc(self, gmin: float, source_scale: float = 1.0) -> None:
         """Prepare the linear part of a DC solve (all lanes)."""
@@ -415,19 +452,15 @@ class LaneSystem:
         if plan.n_caps:
             factor = 2.0 if integrator == "trap" else 1.0
             geq = factor * plan.cap_c / dt_col
-            np.add.at(
-                self.a_step.reshape(plan.n_lanes, -1),
-                (self._lane, plan.cap_jac_idx),
-                np.concatenate([geq, geq, -geq, -geq], axis=1),
-            )
             v_prev = x_prev[:, plan.cap_a] - x_prev[:, plan.cap_b]
             const = -geq * v_prev
             if integrator == "trap" and cap_i_prev is not None:
                 const = const - cap_i_prev
+            neg_geq = -geq
             np.add.at(
-                self.b_step,
-                (self._lane, plan.cap_res_rows),
-                np.concatenate([const, -const], axis=1),
+                self._step.reshape(-1),
+                self._cap_index,
+                np.concatenate([geq, geq, neg_geq, neg_geq, const, -const], axis=None),
             )
         if plan.n_inductors:
             req = plan.ind_l / dt_col
@@ -448,12 +481,10 @@ class LaneSystem:
     def assemble(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Residual and Jacobian of every lane at the padded estimate ``x``."""
         plan = self.plan
-        jac = self.jacobian
-        res = self.residual
-        jac[:] = self.a_step
-        res[:] = np.matmul(self.a_step, x[:, :, None])[:, :, 0]
-        res += self.b_step
-        jac_flat = jac.reshape(plan.n_lanes, -1)
+        self._system[:] = self._step
+        # b + A x: the same sum as A x + b (IEEE addition commutes).
+        self.residual += np.matmul(self.a_step, x[:, :, None])[:, :, 0]
+        values = []
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             if plan.n_diodes:
                 v = x[:, plan.d_a] - x[:, plan.d_b]
@@ -465,35 +496,17 @@ class LaneSystem:
                 current = np.where(
                     v > v_limited, current + conductance * (v - v_limited), current
                 )
-                np.add.at(
-                    res,
-                    (self._lane, plan.d_res_rows),
-                    np.concatenate([current, -current], axis=1),
-                )
-                np.add.at(
-                    jac_flat,
-                    (self._lane, plan.d_jac_idx),
-                    np.concatenate(
-                        [conductance, conductance, -conductance, -conductance], axis=1
-                    ),
-                )
+                stamps = np.stack([current, conductance, conductance])
+                values += [stamps, -stamps]
             if plan.n_mosfets:
-                vd = x[:, plan.mos_d]
-                vg = x[:, plan.mos_g]
-                vs = x[:, plan.mos_s]
-                vb = x[:, plan.mos_b]
-                ids, gd, gg, gs, gb = plan.mos_arrays.currents_and_derivatives(vd, vg, vs, vb)
-                np.add.at(
-                    res,
-                    (self._lane, plan.mos_res_rows),
-                    np.concatenate([ids, -ids], axis=1),
-                )
-                np.add.at(
-                    jac_flat,
-                    (self._lane, plan.mos_jac_idx),
-                    np.concatenate([gd, gg, gs, gb, -gd, -gg, -gs, -gb], axis=1),
-                )
-        return res, jac
+                terminals = x[:, plan.mos_terminals].transpose(1, 0, 2)
+                stamps = plan.mos_arrays.currents_and_derivatives(terminals)
+                values += [stamps, -stamps]
+        if values:
+            np.add.at(
+                self._system.reshape(-1), self._device_index, np.concatenate(values, axis=None)
+            )
+        return self.residual, self.jacobian
 
     def cap_currents(
         self,
@@ -539,7 +552,7 @@ def lane_newton(
         r = res[:, :n]
         j = jac[:, :n, :n]
         with np.errstate(invalid="ignore"):
-            residual_norm = np.max(np.abs(r), axis=1) if n else np.zeros(L)
+            residual_norm = np.abs(r).max(axis=1) if n else np.zeros(L)
         bad = pending & ~np.isfinite(residual_norm)
         failed |= bad
         pending &= ~bad
@@ -562,17 +575,15 @@ def lane_newton(
         pending &= ~bad
         if not pending.any():
             continue
-        voltage_step = (
-            np.max(np.abs(delta[:, :n_nodes]), axis=1) if n_nodes else np.zeros(L)
-        )
+        voltage_step = np.abs(delta[:, :n_nodes]).max(axis=1) if n_nodes else np.zeros(L)
         scale = np.ones(L)
         if options.voltage_step_limit > 0.0:
             limited = voltage_step > options.voltage_step_limit
             scale[limited] = options.voltage_step_limit / voltage_step[limited]
         step = (options.damping * scale)[:, None] * delta
         x[:, :n] += np.where(pending[:, None], step, 0.0)
-        delta_norm = np.max(np.abs(delta), axis=1) if n else np.zeros(L)
-        x_norm = np.max(np.abs(x[:, :n]), axis=1) if n else np.zeros(L)
+        delta_norm = np.abs(delta).max(axis=1) if n else np.zeros(L)
+        x_norm = np.abs(x[:, :n]).max(axis=1) if n else np.zeros(L)
         iterations[pending] = iteration
         now_converged = (
             (residual_norm < options.abs_tolerance)

@@ -284,6 +284,18 @@ class LaneTransientAnalysis:
             max_iterations=60, voltage_step_limit=1.0
         )
         self.max_step_refinements = max_step_refinements
+        self.newton_iterations = 0
+        self.step_halvings = 0
+        self.lanes_failed = 0
+
+    @property
+    def health(self) -> Dict[str, int]:
+        """Numerical health of the last :meth:`run` (zeros before one)."""
+        return {
+            "newton_iterations": self.newton_iterations,
+            "step_halvings": self.step_halvings,
+            "lanes_failed": self.lanes_failed,
+        }
 
     # -- start-up ---------------------------------------------------------------------
 
@@ -291,7 +303,8 @@ class LaneTransientAnalysis:
         plan = system.plan
         x = np.zeros((plan.n_lanes, plan.pad_size))
         if self.use_dc_start:
-            dc_x, dc_converged, _ = lane_dc_solve(system, self.newton_options)
+            dc_x, dc_converged, iterations = lane_dc_solve(system, self.newton_options)
+            self.newton_iterations += int(iterations.sum())
             x[dc_converged] = dc_x[dc_converged]
         node_index = plan.circuits[0].node_index()
         for lane, conditions in enumerate(self.initial_conditions):
@@ -306,19 +319,36 @@ class LaneTransientAnalysis:
     # -- main loop ----------------------------------------------------------------------
 
     def run(self) -> List[Optional[TransientResult]]:
-        """Advance every lane to ``t_stop`` and return per-lane results."""
+        """Advance every lane to ``t_stop`` and return per-lane results.
+
+        Records the run's numerical health on the instance (see
+        :attr:`health`): ``newton_iterations`` (summed over lanes, DC start
+        included), ``step_halvings`` (rejected time points retried at half
+        the step) and ``lanes_failed`` (lanes returned as ``None``).
+        """
         plan = compile_circuits(self.circuits)
         system = LaneSystem(plan)
         options = self.newton_options
         n_lanes, n = plan.n_lanes, plan.n_unknowns
+        self.newton_iterations = 0
+        self.step_halvings = 0
+        self.lanes_failed = 0
         x = self._initial_state(system)
-        times: List[List[float]] = [[] for _ in range(n_lanes)]
-        solutions: List[List[np.ndarray]] = [[] for _ in range(n_lanes)]
-        if self.t_start_recording <= 0.0:
-            for lane in range(n_lanes):
-                times[lane].append(0.0)
-                solutions[lane].append(x[lane, :n].copy())
         t = np.zeros(n_lanes)
+        # One row per recorded time point: which lanes it records, every
+        # lane's time and solution; each lane's waveform is gathered from
+        # its own rows at the end.
+        recorded_rows: List[np.ndarray] = []
+        time_rows: List[np.ndarray] = []
+        solution_rows: List[np.ndarray] = []
+
+        def record(lanes: np.ndarray) -> None:
+            recorded_rows.append(lanes)
+            time_rows.append(t.copy())
+            solution_rows.append(x[:, :n].copy())
+
+        if self.t_start_recording <= 0.0:
+            record(np.ones(n_lanes, dtype=bool))
         pending_step = np.full(n_lanes, self.dt)
         refinements = np.zeros(n_lanes, dtype=int)
         alive = np.ones(n_lanes, dtype=bool)
@@ -339,7 +369,8 @@ class LaneTransientAnalysis:
                 source_scale=options.source_scale,
             )
             x_trial = x.copy()
-            converged, _ = lane_newton(system, x_trial, marching, options)
+            converged, iterations = lane_newton(system, x_trial, marching, options)
+            self.newton_iterations += int(iterations.sum())
             accepted = marching & converged
             rejected = marching & ~converged
             if rejected.any():
@@ -348,6 +379,7 @@ class LaneTransientAnalysis:
                 alive &= ~dead
                 retry = rejected & ~dead
                 pending_step[retry] = attempt[retry] * 0.5
+                self.step_halvings += int(retry.sum())
             if accepted.any():
                 if self.integrator == "trap" and plan.n_caps:
                     committed = system.cap_currents(x_trial, x, step, cap_i_prev)
@@ -356,21 +388,23 @@ class LaneTransientAnalysis:
                 x[accepted] = x_trial[accepted]
                 pending_step[accepted] = self.dt
                 refinements[accepted] = 0
-                for lane in np.flatnonzero(accepted):
-                    if t[lane] >= self.t_start_recording:
-                        times[lane].append(float(t[lane]))
-                        solutions[lane].append(x[lane, :n].copy())
+                recorded = accepted & (t >= self.t_start_recording)
+                if recorded.any():
+                    record(recorded)
             marching = alive & (t < self.t_stop - 1e-21)
+        self.lanes_failed = int((~alive).sum())
+        recorded_lanes = np.array(recorded_rows, dtype=bool).reshape(-1, n_lanes)
+        times = np.array(time_rows).reshape(-1, n_lanes)
+        solutions = np.array(solution_rows).reshape(-1, n_lanes, n)
         results: List[Optional[TransientResult]] = []
         for lane in range(n_lanes):
             if not alive[lane]:
                 results.append(None)
                 continue
-            if not times[lane]:
+            rows = recorded_lanes[:, lane]
+            if not rows.any():
                 raise AnalysisError("no time points were recorded; check t_start_recording")
             results.append(
-                TransientResult(
-                    plan.circuits[lane], np.asarray(times[lane]), np.vstack(solutions[lane])
-                )
+                TransientResult(plan.circuits[lane], times[rows, lane], solutions[rows, lane])
             )
         return results

@@ -87,3 +87,31 @@ def test_spice_pool_worker_spans_merge_into_the_parent_trace():
     assert {r["trace_id"] for r in chunks} == {"spicetrace"}
     # The chunks genuinely ran in pool workers, not in this process.
     assert any(r["pid"] != os.getpid() for r in chunks)
+
+
+def test_in_process_spice_chunks_record_spans_with_numerical_health():
+    # A single worker evaluates its chunks in-process; each chunk still gets
+    # its span, with the lane transient's health aggregated per chunk.
+    from repro.circuits.evaluators import RingVcoSpiceEvaluator
+    from repro.circuits.ring_vco import VcoDesign
+    from repro.process import TECH_012UM
+
+    designs = [VcoDesign(), VcoDesign(nmos_width=20e-6), VcoDesign()]
+    evaluator = RingVcoSpiceEvaluator(
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1, engine="lanes", lane_width=2
+    )
+    untraced = evaluator.evaluate_batch(designs)
+    with obs_trace.start_trace("inprocess") as trace:
+        traced = evaluator.evaluate_batch(designs)
+
+    for a, b in zip(untraced, traced):
+        assert a.as_dict() == b.as_dict()
+
+    chunks = [r for r in trace.spans if r["name"] == "spice.lane_chunk"]
+    assert [r["attrs"]["chunk"] for r in chunks] == [0, 1]
+    assert [r["attrs"]["n_tasks"] for r in chunks] == [2, 1]
+    assert {r["pid"] for r in chunks} == {os.getpid()}
+    for record in chunks:
+        assert record["attrs"]["newton_iterations"] > 0
+        assert record["attrs"]["step_halvings"] == 0
+        assert record["attrs"]["lanes_failed"] == 0

@@ -28,6 +28,7 @@ from repro.spice import (
 )
 from repro.spice.dc import DCOperatingPoint
 from repro.spice.exceptions import AnalysisError, NetlistError
+from repro.spice.mna import NewtonOptions
 from repro.spice.transient import LaneTransientAnalysis
 
 # Parser-driven netlists covering every element the compiled engine stamps:
@@ -173,6 +174,31 @@ def test_lane_batch_bitwise_equals_single_compiled():
         assert np.array_equal(lane_result.voltage("out").values, single.voltage("out").values)
 
 
+@pytest.mark.parametrize(
+    "max_iterations, step_limit, refinements, halved, failed",
+    [(4, 0.3, 6, True, False), (3, 0.2, 1, True, True)],
+)
+def test_lane_health_counters(max_iterations, step_limit, refinements, halved, failed):
+    # A starved Newton budget forces rejected time points on the MOS switch:
+    # retried at half the step, or fatal once the refinements run out.
+    analysis = LaneTransientAnalysis(
+        [parse_netlist(TRANSIENT_CASES[2][1]) for _ in range(2)],
+        t_stop=20e-9,
+        dt=0.2e-9,
+        newton_options=NewtonOptions(
+            max_iterations=max_iterations, voltage_step_limit=step_limit
+        ),
+        max_step_refinements=refinements,
+    )
+    assert analysis.health == dict(newton_iterations=0, step_halvings=0, lanes_failed=0)
+    results = analysis.run()
+    health = analysis.health
+    assert health["newton_iterations"] > 0
+    assert (health["step_halvings"] > 0) == halved
+    assert health["lanes_failed"] == sum(result is None for result in results)
+    assert (health["lanes_failed"] == 2) == failed
+
+
 def test_lane_topology_mismatch_rejected():
     circuits = [parse_netlist(NETLISTS["ladder_divider"]), parse_netlist(NETLISTS["diode_clamp"])]
     with pytest.raises(NetlistError):
@@ -235,3 +261,34 @@ def test_ring_vco_lanes_match_reference_bench():
         ref_dict, lane_dict = ref.as_dict(), lane.as_dict()
         for key, value in ref_dict.items():
             assert lane_dict[key] == pytest.approx(value, rel=1e-6), key
+
+
+def test_ring_vco_lane_batch_bitwise_equals_single_runs():
+    # The ring-VCO case of the batch-independence check above: the stacked
+    # MOSFET probe block grows with the batch, so a shape-dependent numpy
+    # loop would show up here as a lane that differs from its lone run.
+    rng = np.random.default_rng(11)
+    devices = [
+        element.name
+        for element in _bench("lanes")._build_circuit(VcoDesign(), TECH_012UM, 0.5).elements
+        if isinstance(element, MOSFET)
+    ]
+    tasks = [
+        (
+            design,
+            None,
+            {
+                name: {"vth0": float(rng.normal(0.0, 0.01)), "u0_rel": float(rng.normal(0.0, 0.02))}
+                for name in devices
+            },
+        )
+        for design in (
+            VcoDesign(),
+            VcoDesign(nmos_width=20e-6, pmos_width=40e-6),
+            VcoDesign(tail_nmos_width=25e-6, tail_pmos_width=50e-6),
+        )
+    ]
+    batch = _bench("lanes").run_batch(tasks)
+    for task, performance in zip(tasks, batch):
+        (alone,) = _bench("lanes").run_batch([task])
+        assert performance.as_dict() == alone.as_dict()
