@@ -1,20 +1,12 @@
 """HTTP API of the experiment service: versioned routes, SSE streaming.
 
-Two front ends share one application core and one route table:
-
-* :func:`make_async_server` -- the production server, built on the
-  stdlib-asyncio :class:`~repro.service.http.AsyncHTTPServer`: one event
-  loop, HTTP/1.1 keep-alive, hundreds of concurrent connections, live
-  Server-Sent-Events streams, and the static dashboard.  All blocking
-  :class:`~repro.service.store.JobStore` work crosses its thread-pool
-  bridge, so the loop never blocks on SQLite.
-* :func:`make_server` -- the legacy thread-per-connection server
-  (``http.server.ThreadingHTTPServer``), kept as the baseline the
-  connection-scaling benchmark compares against.  It serves the same
-  JSON routes byte-for-byte (SSE and the dashboard are asyncio-only).
-
-Routes live under ``/v1``; the unversioned paths of PRs 4-5 keep working
-as deprecated aliases answering with a ``Deprecation`` header::
+:func:`make_async_server` builds the one HTTP front end, on the
+stdlib-asyncio :class:`~repro.service.http.AsyncHTTPServer`: one event
+loop, HTTP/1.1 keep-alive, hundreds of concurrent connections, live
+Server-Sent-Events streams, and the static dashboard.  All blocking
+:class:`~repro.service.store.SqliteJobStore` work crosses its thread-pool
+bridge, so the loop never blocks on SQLite.  Each route is declared once,
+in :class:`AsyncServiceServer`'s route table, next to its handler::
 
     GET    /v1/healthz                 liveness, job counts, pool size, version
     GET    /v1/scenarios               the scenario registry, with config hashes
@@ -22,12 +14,12 @@ as deprecated aliases answering with a ``Deprecation`` header::
                                        paginated job listing, newest first
     POST   /v1/jobs                    submit {"scenario": ..., "overrides": ...}
     GET    /v1/jobs/<id>               job status + all progress events
-    GET    /v1/jobs/<id>/events       live SSE stream (asyncio server only)
+    GET    /v1/jobs/<id>/events       live SSE stream
     GET    /v1/jobs/<id>/report       the cached JSON report
     GET    /v1/jobs/<id>/trace        the job's span trace (timing profile)
     DELETE /v1/jobs/<id>               cancel (200 parked / 202 flagged / 409)
-    GET    /v1/metrics                 Prometheus text exposition (asyncio only)
-    GET    /                           the dashboard (asyncio server only)
+    GET    /v1/metrics                 Prometheus text exposition
+    GET    /                           the dashboard
 
 The distributed worker protocol (PR 8) rides the same ``/v1`` surface --
 these are what :class:`~repro.service.remote.RemoteJobStore` speaks, and
@@ -69,10 +61,8 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Any, AsyncIterator, Callable, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.experiments.artifacts import ARTIFACT_NAME_RE
@@ -88,6 +78,7 @@ from repro.experiments.report import report_payload
 from repro.obs import metrics as obs_metrics
 from repro.service.http import (
     AsyncHTTPServer,
+    Handler,
     Request,
     Response,
     Router,
@@ -96,13 +87,11 @@ from repro.service.http import (
     sse_comment,
     sse_event,
 )
-from repro.service.store import TERMINAL_STATES, JobStore
+from repro.service.store import TERMINAL_STATES, SqliteJobStore
 
 __all__ = [
     "ExperimentService",
     "AsyncServiceServer",
-    "ServiceHTTPServer",
-    "make_server",
     "make_async_server",
     "DEFAULT_PORT",
 ]
@@ -122,31 +111,6 @@ SSE_KEEPALIVE_INTERVAL = 15.0
 #: (status, payload) pair every service method returns.
 ServiceResponse = Tuple[int, Dict[str, Any]]
 
-#: The JSON route table shared by both servers: (method, pattern,
-#: endpoint).  Patterns are unversioned; each server registers them under
-#: ``/v1`` and -- as deprecated aliases -- at the bare path.
-JSON_ROUTES: Tuple[Tuple[str, str, str], ...] = (
-    ("GET", "/healthz", "health"),
-    ("GET", "/scenarios", "scenarios"),
-    ("GET", "/portfolios", "portfolios"),
-    ("POST", "/portfolios/{name}/jobs", "submit_portfolio"),
-    ("GET", "/portfolios/{name}/report", "portfolio_report"),
-    ("GET", "/jobs", "jobs"),
-    ("POST", "/jobs", "submit"),
-    ("GET", "/jobs/{job_id}", "job"),
-    ("DELETE", "/jobs/{job_id}", "cancel"),
-    ("GET", "/jobs/{job_id}/report", "report"),
-    ("GET", "/jobs/{job_id}/trace", "trace"),
-    # The distributed worker protocol (RemoteJobStore's wire surface).
-    ("POST", "/claim", "claim"),
-    ("POST", "/requeue-expired", "requeue_expired"),
-    ("POST", "/jobs/{job_id}/lease", "lease"),
-    ("POST", "/jobs/{job_id}/heartbeat", "heartbeat"),
-    ("POST", "/jobs/{job_id}/events", "record_event"),
-    ("POST", "/jobs/{job_id}/outcome", "outcome"),
-    ("GET", "/jobs/{job_id}/flags", "flags"),
-)
-
 #: config hashes are lowercase hex (the scenario hash is 16 chars today;
 #: the range tolerates future widening without accepting path garbage).
 _HASH_RE = re.compile(r"^[0-9a-f]{8,64}$")
@@ -155,21 +119,24 @@ _HASH_RE = re.compile(r"^[0-9a-f]{8,64}$")
 #: remote workers join their spans to the coordinator-known trace.
 TRACE_HEADER = "X-Repro-Trace"
 
-def _claim_trace_headers(
-    endpoint: str, status: int, payload: Dict[str, Any]
-) -> List[Tuple[str, str]]:
-    """``X-Repro-Trace`` for claim responses that actually carry a job.
 
-    The trace id *is* the job id (the scenario's config hash), so the
-    header costs nothing to compute -- but sending it explicitly keeps
-    the wire contract honest if the two ever diverge.
-    """
-    if endpoint != "claim" or status != 200:
-        return []
-    job = payload.get("job") if isinstance(payload, dict) else None
-    if not isinstance(job, dict) or not job.get("id"):
-        return []
-    return [(TRACE_HEADER, str(job["id"]))]
+def _param(name: str) -> Callable[[Request], str]:
+    """Argument getter: the route pattern's ``{name}`` capture."""
+    return lambda request: request.params[name]
+
+
+def _query(key: str) -> Callable[[Request], Optional[str]]:
+    """Argument getter: one query-string value (``None`` when absent)."""
+    return lambda request: request.query.get(key)
+
+
+def _json_body(request: Request) -> Optional[Dict[str, Any]]:
+    """The request body as a JSON object, or ``None`` when it is not one."""
+    try:
+        body = json.loads(request.body.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return body if isinstance(body, dict) else None
 
 
 _registry = obs_metrics.get_registry()
@@ -201,23 +168,15 @@ def _error(status: int, code: str, message: str, **extra: Any) -> ServiceRespons
     return status, error_payload(code, message, **extra)
 
 
-def deprecation_headers(path: str) -> List[Tuple[str, str]]:
-    """Headers a legacy unversioned alias answers with."""
-    return [
-        ("Deprecation", "true"),
-        ("Link", f'</v1{path}>; rel="successor-version"'),
-    ]
-
-
 class ExperimentService:
     """The service's request-independent application logic.
 
-    Every public method returns a ``(status, payload)`` pair; both HTTP
-    front ends are thin route-and-serialise shims around it, which keeps
+    Every public method returns a ``(status, payload)`` pair; the HTTP
+    front end is a thin route-and-serialise shim around it, which keeps
     the whole API unit-testable without sockets.
     """
 
-    def __init__(self, store: JobStore, cache_dir: Path) -> None:
+    def __init__(self, store: SqliteJobStore, cache_dir: Path) -> None:
         self.store = store
         self.cache_dir = Path(cache_dir)
 
@@ -322,7 +281,9 @@ class ExperimentService:
             "next_offset": offset + limit if offset + limit < total else None,
         }
 
-    def submit(self, body: Dict[str, Any]) -> ServiceResponse:
+    def submit(self, body: Optional[Dict[str, Any]]) -> ServiceResponse:
+        if body is None:
+            return _error(400, "malformed_body", "request body must be a JSON object")
         if isinstance(body, dict) and isinstance(body.get("config"), dict):
             # Full-configuration submission (the RemoteJobStore path): the
             # worker-side store holds a ScenarioConfig, not a registry
@@ -548,64 +509,6 @@ class ExperimentService:
         """Requeue every expired lease (maintenance; claim also does this)."""
         return 200, {"requeued": self.store.requeue_expired()}
 
-    # -- shared dispatch -----------------------------------------------------------------
-
-    def call_endpoint(
-        self,
-        endpoint: str,
-        params: Dict[str, str],
-        query: Dict[str, str],
-        body: Optional[Dict[str, Any]],
-    ) -> ServiceResponse:
-        """Invoke one :data:`JSON_ROUTES` endpoint from parsed request parts.
-
-        The single place that maps route names to method signatures, so
-        the asyncio and the threaded server cannot drift apart.
-        """
-        if endpoint == "health":
-            return self.health()
-        if endpoint == "scenarios":
-            return self.scenarios()
-        if endpoint == "portfolios":
-            return self.portfolios()
-        if endpoint == "submit_portfolio":
-            return self.submit_portfolio(params["name"])
-        if endpoint == "portfolio_report":
-            return self.portfolio_report(params["name"])
-        if endpoint == "jobs":
-            return self.jobs(
-                state=query.get("state"),
-                limit=query.get("limit"),
-                offset=query.get("offset"),
-            )
-        if endpoint == "submit":
-            if body is None:
-                return _error(400, "malformed_body", "request body must be a JSON object")
-            return self.submit(body)
-        if endpoint == "job":
-            return self.job(params["job_id"])
-        if endpoint == "cancel":
-            return self.cancel(params["job_id"])
-        if endpoint == "report":
-            return self.report(params["job_id"])
-        if endpoint == "trace":
-            return self.trace(params["job_id"])
-        if endpoint == "claim":
-            return self.claim(body)
-        if endpoint == "lease":
-            return self.lease(params["job_id"], body)
-        if endpoint == "heartbeat":
-            return self.heartbeat(params["job_id"], body)
-        if endpoint == "record_event":
-            return self.record_event(params["job_id"], body)
-        if endpoint == "outcome":
-            return self.outcome(params["job_id"], body)
-        if endpoint == "flags":
-            return self.flags(params["job_id"])
-        if endpoint == "requeue_expired":
-            return self.requeue_expired()
-        raise ValueError(f"unknown endpoint {endpoint!r}")  # pragma: no cover
-
 
 # -- the asyncio front end ---------------------------------------------------------------
 
@@ -621,23 +524,43 @@ class AsyncServiceServer(AsyncHTTPServer):
 
     def __init__(self, host: str, port: int, service: ExperimentService) -> None:
         self.service = service
+        json_route = self._json_handler
+        job_id, name, body = _param("job_id"), _param("name"), _json_body
         router = Router()
-        for method, pattern, endpoint in JSON_ROUTES:
-            router.add(method, f"/v1{pattern}", self._json_handler(endpoint, pattern))
-            router.add(
-                method, pattern, self._json_handler(endpoint, pattern, legacy=True)
-            )
-        router.add("GET", "/v1/jobs/{job_id}/events", self._events_handler())
-        router.add("GET", "/jobs/{job_id}/events", self._events_handler(legacy=True))
-        router.add("GET", "/v1/metrics", self._metrics_handler())
-        for method in ("GET", "PUT", "DELETE"):
-            router.add(
-                method,
-                "/v1/artifacts/{config_hash}/{name}",
-                self._artifact_handler(method),
-            )
-        router.add("GET", "/", self._static_handler("index.html"))
-        router.add("GET", "/static/{name}", self._static_handler())
+        # The route table: every route, declared once, with its handler.
+        for method, pattern, handler in (
+            ("GET", "/v1/healthz", json_route(service.health)),
+            ("GET", "/v1/scenarios", json_route(service.scenarios)),
+            ("GET", "/v1/portfolios", json_route(service.portfolios)),
+            ("POST", "/v1/portfolios/{name}/jobs", json_route(service.submit_portfolio, name)),
+            ("GET", "/v1/portfolios/{name}/report", json_route(service.portfolio_report, name)),
+            (
+                "GET",
+                "/v1/jobs",
+                json_route(service.jobs, _query("state"), _query("limit"), _query("offset")),
+            ),
+            ("POST", "/v1/jobs", json_route(service.submit, body)),
+            ("GET", "/v1/jobs/{job_id}", json_route(service.job, job_id)),
+            ("DELETE", "/v1/jobs/{job_id}", json_route(service.cancel, job_id)),
+            ("GET", "/v1/jobs/{job_id}/report", json_route(service.report, job_id)),
+            ("GET", "/v1/jobs/{job_id}/trace", json_route(service.trace, job_id)),
+            ("GET", "/v1/jobs/{job_id}/events", self._events),
+            ("GET", "/v1/metrics", self._metrics),
+            # The distributed worker protocol (RemoteJobStore's wire surface).
+            ("POST", "/v1/claim", self._claim),
+            ("POST", "/v1/requeue-expired", json_route(service.requeue_expired)),
+            ("POST", "/v1/jobs/{job_id}/lease", json_route(service.lease, job_id, body)),
+            ("POST", "/v1/jobs/{job_id}/heartbeat", json_route(service.heartbeat, job_id, body)),
+            ("POST", "/v1/jobs/{job_id}/events", json_route(service.record_event, job_id, body)),
+            ("POST", "/v1/jobs/{job_id}/outcome", json_route(service.outcome, job_id, body)),
+            ("GET", "/v1/jobs/{job_id}/flags", json_route(service.flags, job_id)),
+            ("GET", "/v1/artifacts/{config_hash}/{name}", self._artifact),
+            ("PUT", "/v1/artifacts/{config_hash}/{name}", self._artifact),
+            ("DELETE", "/v1/artifacts/{config_hash}/{name}", self._artifact),
+            ("GET", "/", self._static),
+            ("GET", "/static/{name}", self._static),
+        ):
+            router.add(method, pattern, handler)
         super().__init__(host, port, router)
         # Stage pickles are megabytes; only the artifact routes may
         # exceed the JSON body cap.
@@ -645,54 +568,41 @@ class AsyncServiceServer(AsyncHTTPServer):
 
     # -- JSON ----------------------------------------------------------------------------
 
-    def _json_handler(self, endpoint: str, pattern: str, legacy: bool = False):
+    def _json_handler(
+        self, call: Callable[..., ServiceResponse], *arguments: Callable[[Request], Any]
+    ) -> Handler:
+        """A handler answering ``call(*(get(request) for get in arguments))``
+        as JSON; the call runs on the thread-pool bridge."""
+
         async def handle(request: Request) -> Response:
-            body: Optional[Dict[str, Any]] = None
-            if request.method == "POST":
-                try:
-                    body = json.loads(request.body.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    body = None
-                if not isinstance(body, dict):
-                    body = None
-            status, payload = await self.call(
-                self.service.call_endpoint,
-                endpoint,
-                request.params,
-                request.query,
-                body,
-            )
-            headers: Sequence[Tuple[str, str]] = (
-                self._alias_headers(pattern, request.params) if legacy else ()
-            )
-            headers = list(headers) + _claim_trace_headers(endpoint, status, payload)
-            return Response.json(status, payload, headers=headers)
+            status, payload = await self.call(call, *(get(request) for get in arguments))
+            return Response.json(status, payload)
 
         return handle
 
-    def _metrics_handler(self):
-        async def handle(request: Request) -> Response:
-            text = await self.call(self.service.metrics_text)
-            return Response(
-                200,
-                text.encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
+    async def _claim(self, request: Request) -> Response:
+        """The claim, plus ``X-Repro-Trace`` when it leased a job.
 
-        return handle
+        The trace id *is* the job id (the scenario's config hash), so the
+        header costs nothing to compute -- but sending it explicitly keeps
+        the wire contract honest if the two ever diverge.
+        """
+        status, payload = await self.call(self.service.claim, _json_body(request))
+        job = payload.get("job") if status == 200 else None
+        headers = [(TRACE_HEADER, str(job["id"]))] if job else []
+        return Response.json(status, payload, headers=headers)
 
-    @staticmethod
-    def _alias_headers(
-        pattern: str, params: Dict[str, str]
-    ) -> Sequence[Tuple[str, str]]:
-        path = pattern
-        for name, value in params.items():
-            path = path.replace("{" + name + "}", value)
-        return deprecation_headers(path)
+    async def _metrics(self, request: Request) -> Response:
+        text = await self.call(self.service.metrics_text)
+        return Response(
+            200,
+            text.encode("utf-8"),
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+        )
 
     # -- artifacts -----------------------------------------------------------------------
 
-    def _artifact_handler(self, method: str):
+    async def _artifact(self, request: Request) -> Response:
         """Raw-bytes artifact exchange against the coordinator's cache.
 
         The on-disk layout *is* the artefact cache's
@@ -704,29 +614,25 @@ class AsyncServiceServer(AsyncHTTPServer):
         rename), which makes duplicated or retried uploads of the same
         content-addressed artifact harmless.
         """
-
-        async def handle(request: Request) -> Response:
-            config_hash = request.params["config_hash"]
-            name = request.params["name"]
-            if not _HASH_RE.match(config_hash) or not ARTIFACT_NAME_RE.match(name):
+        config_hash = request.params["config_hash"]
+        name = request.params["name"]
+        if not _HASH_RE.match(config_hash) or not ARTIFACT_NAME_RE.match(name):
+            return error_response(
+                404, "unknown_artifact", f"no such artifact: {config_hash}/{name}"
+            )
+        path = self.service.cache_dir / config_hash / name
+        if request.method == "GET":
+            payload = await self.call(self._read_file, path)
+            if payload is None:
                 return error_response(
                     404, "unknown_artifact", f"no such artifact: {config_hash}/{name}"
                 )
-            path = self.service.cache_dir / config_hash / name
-            if method == "GET":
-                payload = await self.call(self._read_file, path)
-                if payload is None:
-                    return error_response(
-                        404, "unknown_artifact", f"no such artifact: {config_hash}/{name}"
-                    )
-                return Response(200, payload, content_type="application/octet-stream")
-            if method == "PUT":
-                await self.call(self._write_file, path, request.body)
-                return Response(204)
-            await self.call(self._delete_file, path)
+            return Response(200, payload, content_type="application/octet-stream")
+        if request.method == "PUT":
+            await self.call(self._write_file, path, request.body)
             return Response(204)
-
-        return handle
+        await self.call(self._delete_file, path)
+        return Response(204)
 
     @staticmethod
     def _read_file(path: Path) -> Optional[bytes]:
@@ -749,28 +655,19 @@ class AsyncServiceServer(AsyncHTTPServer):
 
     # -- SSE -----------------------------------------------------------------------------
 
-    def _events_handler(self, legacy: bool = False):
-        async def handle(request: Request) -> Response:
-            job_id = request.params["job_id"]
-            job = await self.call(self.service.store.get, job_id)
-            if job is None:
-                return error_response(404, "unknown_job", f"unknown job {job_id!r}")
-            raw = request.headers.get("last-event-id") or request.query.get("after") or "0"
-            try:
-                after = int(raw)
-            except ValueError:
-                return error_response(
-                    400, "invalid_last_event_id", f"not an event sequence: {raw!r}"
-                )
-            headers = (
-                self._alias_headers("/jobs/{job_id}/events", request.params)
-                if legacy
-                else ()
+    async def _events(self, request: Request) -> Response:
+        job_id = request.params["job_id"]
+        job = await self.call(self.service.store.get, job_id)
+        if job is None:
+            return error_response(404, "unknown_job", f"unknown job {job_id!r}")
+        raw = request.headers.get("last-event-id") or request.query.get("after") or "0"
+        try:
+            after = int(raw)
+        except ValueError:
+            return error_response(
+                400, "invalid_last_event_id", f"not an event sequence: {raw!r}"
             )
-            return Response.event_stream(self._event_stream(job_id, after), headers)
-
-        return handle
-
+        return Response.event_stream(self._event_stream(job_id, after))
     async def _event_stream(self, job_id: str, after: int) -> AsyncIterator[bytes]:
         """Replay events past ``after``, then tail until the job ends.
 
@@ -811,165 +708,25 @@ class AsyncServiceServer(AsyncHTTPServer):
 
     # -- the dashboard -------------------------------------------------------------------
 
-    def _static_handler(self, fixed_name: Optional[str] = None):
-        async def handle(request: Request) -> Response:
-            name = fixed_name or request.params.get("name", "")
-            # {name} matches one path segment only; dot-names are rejected
-            # outright so no traversal or hidden file can ever resolve.
-            if name.startswith(".") or "/" in name or "\\" in name:
-                return error_response(404, "unknown_route", f"no such asset: {name!r}")
-            path = _STATIC_DIR / name
-            suffix = path.suffix.lower()
-            if suffix not in _STATIC_TYPES or not path.is_file():
-                return error_response(404, "unknown_route", f"no such asset: {name!r}")
-            body = await self.call(path.read_bytes)
-            return Response(200, body, content_type=_STATIC_TYPES[suffix])
-
-        return handle
+    async def _static(self, request: Request) -> Response:
+        name = request.params.get("name", "index.html")
+        # {name} matches one path segment only; dot-names are rejected
+        # outright so no traversal or hidden file can ever resolve.
+        if name.startswith(".") or "/" in name or "\\" in name:
+            return error_response(404, "unknown_route", f"no such asset: {name!r}")
+        path = _STATIC_DIR / name
+        suffix = path.suffix.lower()
+        if suffix not in _STATIC_TYPES or not path.is_file():
+            return error_response(404, "unknown_route", f"no such asset: {name!r}")
+        body = await self.call(path.read_bytes)
+        return Response(200, body, content_type=_STATIC_TYPES[suffix])
 
 
 def make_async_server(
     host: str,
     port: int,
-    store: JobStore,
+    store: SqliteJobStore,
     cache_dir: Path,
 ) -> AsyncServiceServer:
     """Build the asyncio server (``port=0`` picks a free one on start)."""
     return AsyncServiceServer(host, port, ExperimentService(store, cache_dir))
-
-
-# -- the legacy threaded front end (benchmark baseline) ----------------------------------
-
-
-def match_json_route(
-    method: str, path: str
-) -> Optional[Tuple[str, Dict[str, str], bool]]:
-    """Match a path against :data:`JSON_ROUTES` (both prefixes).
-
-    Returns ``(endpoint, params, legacy)`` or ``None``.  Shared helper so
-    the threaded server resolves exactly the routes the asyncio one does.
-    """
-    parts = [part for part in path.split("/") if part]
-    legacy = True
-    if parts and parts[0] == "v1":
-        parts = parts[1:]
-        legacy = False
-    for route_method, pattern, endpoint in JSON_ROUTES:
-        expected = [segment for segment in pattern.split("/") if segment]
-        if route_method != method.upper() or len(expected) != len(parts):
-            continue
-        params: Dict[str, str] = {}
-        for segment, actual in zip(expected, parts):
-            if segment.startswith("{") and segment.endswith("}"):
-                params[segment[1:-1]] = actual
-            elif segment != actual:
-                break
-        else:
-            return endpoint, params, legacy
-    return None
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP shim: parse path -> ExperimentService -> JSON."""
-
-    server: "ServiceHTTPServer"
-
-    # -- plumbing ------------------------------------------------------------------------
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        pass  # request logging is the operator's business, not stderr's
-
-    def _send(
-        self,
-        response: ServiceResponse,
-        extra_headers: Sequence[Tuple[str, str]] = (),
-    ) -> None:
-        status, payload = response
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for key, value in extra_headers:
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up before (or while) reading the response.
-            # That is its prerogative -- letting the exception escape into
-            # ThreadingHTTPServer would spew a traceback per disconnect.
-            pass
-
-    def _read_json_body(self) -> Optional[Dict[str, Any]]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            return None
-        if length <= 0:
-            return None
-        try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return body if isinstance(body, dict) else None
-
-    # -- dispatch ------------------------------------------------------------------------
-
-    def _dispatch(self, method: str) -> None:
-        url = urlparse(self.path)
-        path = url.path
-        if method == "GET" and path.rstrip("/").endswith("/events"):
-            # SSE needs the event loop; the threaded baseline declines.
-            self._send(
-                _error(
-                    501,
-                    "streaming_unsupported",
-                    "event streaming requires the asyncio server (repro serve)",
-                )
-            )
-            return
-        matched = match_json_route(method, path)
-        if matched is None:
-            self._send(
-                _error(404, "unknown_route", f"no such route: {method} {url.path}")
-            )
-            return
-        endpoint, params, legacy = matched
-        query = {
-            key: values[0]
-            for key, values in parse_qs(url.query, keep_blank_values=True).items()
-        }
-        body = self._read_json_body() if method == "POST" else None
-        response = self.server.service.call_endpoint(endpoint, params, query, body)
-        headers: Sequence[Tuple[str, str]] = deprecation_headers(path) if legacy else ()
-        headers = list(headers) + _claim_trace_headers(endpoint, *response)
-        self._send(response, headers)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("DELETE")
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the :class:`ExperimentService`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], service: ExperimentService) -> None:
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-def make_server(
-    host: str,
-    port: int,
-    store: JobStore,
-    cache_dir: Path,
-) -> ServiceHTTPServer:
-    """Bind the *threaded* server (the benchmark baseline; same JSON API)."""
-    return ServiceHTTPServer((host, port), ExperimentService(store, cache_dir))

@@ -16,7 +16,7 @@ connection.  The pieces:
   HTTP/1.1 keep-alive, request parsing, bounded bodies, and a
   **thread-pool bridge** (:meth:`AsyncHTTPServer.call`): the application
   runs its blocking work (SQLite reads/writes through the
-  :class:`~repro.service.store.JobStore`) on a small executor, so the
+  :class:`~repro.service.store.SqliteJobStore`) on a small executor, so the
   event loop never blocks on the database.
 
 The error envelope every handler (and the server's own parse failures)
@@ -292,7 +292,10 @@ def _parse_head(blob: bytes) -> Optional[Request]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         return None
     method, target, version = parts
-    parsed = urlparse(target)
+    try:
+        parsed = urlparse(target)
+    except ValueError:  # e.g. an unterminated IPv6 host: "http://[::1"
+        return None
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -312,6 +315,18 @@ def _parse_head(blob: bytes) -> Optional[Request]:
         headers=headers,
         version=version,
     )
+
+
+def _content_length(value: str) -> Optional[int]:
+    """The ``Content-Length`` field value as an integer, or ``None``.
+
+    RFC 9110 allows only ``1*DIGIT``; ``int()`` would also take signs,
+    underscores and surrounding whitespace, and a length it misreads
+    turns body bytes into the next request on a keep-alive connection.
+    """
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return int(value)
 
 
 class AsyncHTTPServer:
@@ -490,10 +505,8 @@ class AsyncHTTPServer:
         request: Request,
     ) -> bool:
         """Read the declared body onto ``request``; ``False`` aborts the link."""
-        raw_length = request.headers.get("content-length", "0") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
+        length = _content_length(request.headers.get("content-length", "0") or "0")
+        if length is None:
             await self._write(
                 writer,
                 error_response(400, "malformed_request", "bad Content-Length"),

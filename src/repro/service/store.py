@@ -22,12 +22,12 @@ Job lifecycle::
 * ``done`` / ``failed`` / ``cancelled`` -- terminal.  Submitting a
   failed or cancelled configuration again requeues it.
 
-Cancellation is cooperative: :meth:`JobStore.cancel` moves a *queued*
+Cancellation is cooperative: :meth:`SqliteJobStore.cancel` moves a *queued*
 job straight to ``cancelled``, while a leased/running job only gets its
 ``cancel_requested`` flag raised -- the executing worker polls the flag
 (through a :class:`~repro.cancel.CancelToken`) at its checkpoint
 boundaries, persists its mid-stage partial, and then parks the job in
-``cancelled`` via :meth:`JobStore.mark_cancelled`.  Resubmitting the
+``cancelled`` via :meth:`SqliteJobStore.mark_cancelled`.  Resubmitting the
 same configuration requeues it, and the worker resumes from the
 persisted generation/batch bit-identically.
 
@@ -69,7 +69,6 @@ from repro.service.base import (
 
 __all__ = [
     "Job",
-    "JobStore",
     "SqliteJobStore",
     "JOB_STATES",
     "ACTIVE_STATES",
@@ -145,7 +144,7 @@ class SqliteJobStore(base.JobStore):
     ----------
     path:
         Database file.  Parent directories are created; every worker
-        process and API thread opens its own :class:`JobStore` on the same
+        process and API thread opens its own :class:`SqliteJobStore` on the same
         path.
     lease_ttl:
         Seconds a claim (and each subsequent heartbeat) keeps a job leased
@@ -647,9 +646,3 @@ class SqliteJobStore(base.JobStore):
             ).fetchone()
         return json.loads(row["value"]) if row is not None else default
 
-
-#: Backward-compatible alias: ``JobStore`` named the SQLite store before
-#: the interface extraction (PR 8); existing imports keep constructing
-#: the local backend.  New code should name :class:`SqliteJobStore` (or
-#: program against :class:`repro.service.base.JobStore`).
-JobStore = SqliteJobStore

@@ -1,20 +1,30 @@
-"""Asyncio HTTP core: routing, keep-alive, /v1 versioning, error envelope,
-pagination, and the static dashboard."""
+"""Asyncio HTTP core: routing, keep-alive, request parsing, /v1 versioning,
+error envelope, pagination, and the static dashboard."""
 
 import json
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.api import make_async_server
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import Request, Response, Router, error_payload, sse_event
-from repro.service.store import JobStore
+from repro.service.http import (
+    Request,
+    Response,
+    Router,
+    _content_length,
+    _parse_head,
+    error_payload,
+    sse_event,
+)
+from repro.service.store import SqliteJobStore
 
 
 @pytest.fixture()
 def live(tmp_path):
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     server = make_async_server("127.0.0.1", 0, store, tmp_path / "cache")
     host, port = server.start()
     client = ServiceClient(f"http://{host}:{port}")
@@ -86,10 +96,7 @@ def test_error_payload_shape():
 
 def test_response_json_sorts_keys():
     response = Response.json(200, {"b": 1, "a": 2})
-    assert response.body == b'{"a": 2, "b": 2}' or json.loads(response.body) == {
-        "a": 2,
-        "b": 1,
-    }
+    assert response.body == b'{"a": 2, "b": 1}'
 
 
 # -- live wire behaviour ------------------------------------------------------------------
@@ -114,6 +121,59 @@ def test_malformed_request_line_gets_a_400_envelope(live):
     assert json.loads(body)["error"]["code"] == "malformed_request"
 
 
+def test_unparsable_request_target_gets_a_400_envelope(live):
+    _, _, (host, port) = live
+    raw = _raw(host, port, b"GET http://[::1 HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert raw.startswith(b"HTTP/1.1 400")
+    body = raw.split(b"\r\n\r\n", 1)[1]
+    assert json.loads(body)["error"]["code"] == "malformed_request"
+
+
+@pytest.mark.parametrize("length", [b"-5", b"+5", b"1_0"])
+def test_non_digit_content_length_gets_a_400_and_closes(live, length):
+    """A misread length must not turn the body into a second request."""
+    _, _, (host, port) = live
+    smuggled = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    head = b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n"
+    raw = _raw(host, port, head + smuggled)
+    assert raw.startswith(b"HTTP/1.1 400")
+    assert raw.count(b"HTTP/1.1 ") == 1  # the connection closed after the 400
+    body = raw.split(b"\r\n\r\n", 1)[1]
+    assert json.loads(body)["error"]["code"] == "malformed_request"
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("0", 0), ("0105", 105), ("-5", None), ("+5", None), ("1_0", None), (" 5", None),
+     ("\u00b2", None), ("", None), ("5.0", None)],
+)
+def test_content_length_accepts_digits_only(value, expected):
+    assert _content_length(value) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary())
+def test_parse_head_never_raises_on_arbitrary_bytes(blob):
+    request = _parse_head(blob)
+    assert request is None or isinstance(request, Request)
+
+
+#: Arbitrary text, biased towards URL syntax so the generator reaches the
+#: scheme / netloc / IPv6-bracket branches of URL parsing.
+URL_TARGETS = st.lists(
+    st.sampled_from(["/", "//", "http:", ":", "[", "]", "?", "#", "@", "%", "="]) | st.text(),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(URL_TARGETS)
+def test_parse_head_never_raises_on_arbitrary_targets(target):
+    blob = f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode("utf-8")
+    request = _parse_head(blob)
+    assert request is None or isinstance(request, Request)
+
+
 def test_oversized_headers_get_431(live):
     _, _, (host, port) = live
     huge = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n"
@@ -134,21 +194,20 @@ def test_oversized_body_gets_413(live):
     assert json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]["code"] == "body_too_large"
 
 
-# -- versioning: /v1 + deprecated aliases -------------------------------------------------
+# -- versioning: /v1 only ------------------------------------------------------------------
 
 
-def test_legacy_aliases_answer_with_deprecation_headers(live):
-    import urllib.request
-
+def test_unversioned_paths_answer_unknown_route(live):
     client, _, (host, port) = live
-    for path in ("/healthz", "/scenarios", "/jobs"):
-        with urllib.request.urlopen(f"http://{host}:{port}{path}") as response:
-            assert response.status == 200
-            assert response.headers["Deprecation"] == "true"
-            assert response.headers["Link"] == f'</v1{path}>; rel="successor-version"'
-    # The /v1 routes carry no deprecation marker.
-    with urllib.request.urlopen(f"http://{host}:{port}/v1/healthz") as response:
-        assert response.headers.get("Deprecation") is None
+    job = client.submit("fast-smoke", {"seed": 613})
+    for path in ("/healthz", "/scenarios", "/jobs", f"/jobs/{job['id']}/events"):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", path)
+        assert excinfo.value.status == 404, path
+        assert excinfo.value.code == "unknown_route", path
+    raw = _raw(host, port, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+    head = raw.split(b"\r\n\r\n", 1)[0].lower()
+    assert head.startswith(b"http/1.1 200") and b"\r\ndeprecation:" not in head
 
 
 def test_healthz_reports_counts_version_and_pool(live):
